@@ -20,9 +20,11 @@
 use crate::bitvec::Bv;
 use crate::encode::{CoiReport, EncInputs, Encoder, KeyLits, UnrollState, Unrolling};
 use hls_core::KeyBits;
-use sat::{Gates, Lit, SolveOutcome, SolverConfig};
+use sat::{Gates, Lit, SolveOutcome, Solver, SolverConfig};
 use sim_core::ctrl::{Budget, CancelKind};
 use sim_core::faultpoint;
+use sim_core::grid::unpoison;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use vlog::VlogSim;
 
@@ -259,46 +261,16 @@ pub fn sat_attack(
     oracle: &mut dyn FnMut(&AttackQuery) -> OracleResponse,
 ) -> SatAttackOutcome {
     let t0 = Instant::now();
-    let obs = opts.obs.clone();
-    let mut attack_span = obs.span("attack.sat");
-    let mut eng = AttackEngine::new(sim, opts, None);
-    let dip_counter = obs.counter("attack.dips");
-    let progress = opts.progress.clone();
-    if progress.enabled() {
-        progress.set_phase("sat-attack");
-        if let Some(max) = opts.max_dips {
-            progress.add_total(max);
-        }
-    }
-    let mut constraints: Vec<IoConstraint> = Vec::new();
-    let status = loop {
-        match eng.step() {
-            Step::Collapsed => break SatAttackStatus::Recovered,
-            Step::NeedGrow => eng.grow_step(),
-            Step::Dip(query) => {
-                opts.budget.fault_hit(faultpoint::sites::ATTACK_ORACLE, eng.dips());
-                let resp = {
-                    let _oracle_span = obs.span("attack.oracle");
-                    oracle(&query)
-                };
-                eng.apply_dip(&query, &resp);
-                dip_counter.inc();
-                progress.tick();
-                constraints.push(IoConstraint { query, response: resp });
-            }
-            Step::Exhausted(cause) => break SatAttackStatus::Exhausted(cause),
-            // Without a portfolio round the solver's ctrl *is* the
-            // attack budget, so a cancellation here is the budget's.
-            Step::RoundCancelled => break SatAttackStatus::Exhausted(ExhaustCause::Cancelled),
-        }
-    };
-    let key = eng.finish_model();
+    let mut attack_span = opts.obs.span("attack.sat");
+    let mut eng = AttackEngine::new(sim, opts, &[SolverConfig::default()]);
+    let (status, constraints) = eng.dip_loop(oracle, |eng| eng.step(0));
+    let out = eng.finish(0, status, t0, constraints);
     if attack_span.recording() {
-        attack_span.arg("dips", eng.dips());
-        attack_span.arg("conflicts", eng.solver_stats().conflicts);
-        attack_span.arg("unroll_final", u64::from(eng.depth()));
+        attack_span.arg("dips", out.dips);
+        attack_span.arg("conflicts", out.conflicts);
+        attack_span.arg("unroll_final", u64::from(out.unroll_final));
     }
-    eng.into_outcome(status, key, t0.elapsed(), constraints)
+    out
 }
 
 /// One accumulated constraint's growable encodings: the oracle label
@@ -328,13 +300,62 @@ pub(crate) enum Step {
     RoundCancelled,
 }
 
-/// The incremental DIP-loop state machine: one CNF, one miter at the
-/// current depth, every accumulated constraint kept growable. Drives
-/// both [`sat_attack`] (single engine) and the portfolio (one engine
-/// per racer, coordinated per step).
+/// One clause stream, many solvers: the gate builder the encoder writes
+/// and one solver per racer; [`Cnf::flush`] streams the builder's
+/// pending clauses into every solver in emission order.
+struct Cnf {
+    g: Gates,
+    solvers: Vec<Mutex<Solver>>,
+    /// Time spent in solver ingest since the last [`Cnf::take_ingest`].
+    ingest: Duration,
+}
+
+impl Cnf {
+    /// Streams the pending clauses into every solver, one solver after
+    /// the other, and empties the stream.
+    fn flush(&mut self) {
+        let t = Instant::now();
+        self.g.flush_into(self.solvers.iter_mut().map(|s| unpoison(s.get_mut())));
+        self.ingest += t.elapsed();
+    }
+
+    /// Ingest time since the last call, in nanoseconds (a span arg).
+    fn take_ingest(&mut self) -> u64 {
+        std::mem::take(&mut self.ingest).as_nanos() as u64
+    }
+
+    /// Extends `u` by `delta` frames, flushing after each frame: the
+    /// pending stream never holds more than one frame, and each solver
+    /// takes a frame's clauses in one run (feeding the racers finer
+    /// interleaved chunks measured a higher peak RSS: their growing
+    /// arrays fragment each other).
+    fn grow(&mut self, enc: &Encoder, u: &mut UnrollState, delta: u32) {
+        for _ in 0..delta {
+            enc.grow(&mut self.g, u, 1);
+            self.flush();
+        }
+    }
+
+    fn solver_mut(&mut self, i: usize) -> &mut Solver {
+        unpoison(self.solvers[i].get_mut())
+    }
+
+    /// `(vars, clauses)` as the solvers hold them (racer 0's count; the
+    /// others differ only by what they learnt).
+    fn size(&mut self) -> (u64, u64) {
+        let s = self.solver_mut(0);
+        (s.num_vars() as u64, s.num_clauses() as u64)
+    }
+}
+
+/// The incremental DIP-loop state machine: one encoder and one gate
+/// builder feeding one solver per racer, one miter at the current
+/// depth, every accumulated constraint kept growable. Drives both
+/// [`sat_attack`] (one solver) and the portfolio (one solver per racer,
+/// raced per step).
 pub(crate) struct AttackEngine<'a> {
     enc: Encoder<'a>,
-    g: Gates,
+    cnf: Cnf,
     opts: SatAttackOptions,
     inputs: EncInputs,
     key_a: KeyLits,
@@ -351,7 +372,8 @@ pub(crate) struct AttackEngine<'a> {
 }
 
 impl<'a> AttackEngine<'a> {
-    /// Builds the initial miter at `opts.initial_unroll` frames.
+    /// Builds the initial miter at `opts.initial_unroll` frames and
+    /// streams it into one solver per entry of `configs`.
     ///
     /// # Panics
     ///
@@ -359,33 +381,39 @@ impl<'a> AttackEngine<'a> {
     pub(crate) fn new(
         sim: &'a VlogSim,
         opts: &SatAttackOptions,
-        config: Option<SolverConfig>,
+        configs: &[SolverConfig],
     ) -> AttackEngine<'a> {
         assert!(sim.key_width() > 0, "design has no working key to recover");
+        let solvers = configs
+            .iter()
+            .map(|&cfg| {
+                let mut s = Solver::new();
+                s.set_config(cfg);
+                s.set_obs(opts.obs.clone());
+                // The solver observes the same cooperative budget at its
+                // own check cadence, so a cancel or deadline lands
+                // mid-solve, not only between DIPs.
+                s.set_ctrl(opts.budget.clone());
+                Mutex::new(s)
+            })
+            .collect();
+        let mut cnf = Cnf { g: Gates::new(), solvers, ingest: Duration::ZERO };
         let enc = Encoder::new(sim);
-        let mut g = Gates::new();
-        if let Some(cfg) = config {
-            g.solver().set_config(cfg);
-        }
-        g.solver().set_obs(opts.obs.clone());
-        // The solver observes the same cooperative budget at its own
-        // check cadence, so a cancel or deadline lands mid-solve, not
-        // only between DIPs.
-        g.solver().set_ctrl(opts.budget.clone());
         let k_max = opts.unroll_cycles.max(1);
         let k0 = opts.initial_unroll.clamp(1, k_max);
         let mut encode_span = opts.obs.span("attack.encode");
-        let inputs = enc.fresh_inputs(&mut g);
-        let key_a = KeyLits::fresh(&mut g, sim);
-        let key_b = KeyLits::fresh(&mut g, sim);
-        let mut ua = enc.begin(&mut g, &inputs, &key_a);
-        let mut ub = enc.begin(&mut g, &inputs, &key_b);
-        enc.grow(&mut g, &mut ua, k0);
-        enc.grow(&mut g, &mut ub, k0);
-        let tru = g.tru();
+        let inputs = enc.fresh_inputs(&mut cnf.g);
+        let key_a = KeyLits::fresh(&mut cnf.g, sim);
+        let key_b = KeyLits::fresh(&mut cnf.g, sim);
+        let mut ua = enc.begin(&mut cnf.g, &inputs, &key_a);
+        let mut ub = enc.begin(&mut cnf.g, &inputs, &key_b);
+        cnf.flush();
+        cnf.grow(&enc, &mut ua, k0);
+        cnf.grow(&enc, &mut ub, k0);
+        let tru = cnf.g.tru();
         let mut eng = AttackEngine {
             enc,
-            g,
+            cnf,
             opts: opts.clone(),
             inputs,
             key_a,
@@ -399,10 +427,21 @@ impl<'a> AttackEngine<'a> {
             growths: 0,
         };
         eng.refresh_miter();
-        encode_span.arg("unroll", u64::from(k0));
-        encode_span.arg("vars", eng.g.solver_ref().num_vars() as u64);
-        encode_span.arg("clauses", eng.g.solver_ref().num_clauses() as u64);
+        if encode_span.recording() {
+            encode_span.arg("unroll", u64::from(k0));
+            eng.size_args(&mut encode_span);
+        }
         eng
+    }
+
+    /// The shared span args of every encode step: CNF size, racer count
+    /// and the solver-ingest share of the step.
+    fn size_args(&mut self, span: &mut obs::SpanGuard) {
+        let (vars, clauses) = self.cnf.size();
+        span.arg("vars", vars);
+        span.arg("clauses", clauses);
+        span.arg("racers", self.cnf.solvers.len() as u64);
+        span.arg("ingest_ns", self.cnf.take_ingest());
     }
 
     /// Current unroll depth.
@@ -410,60 +449,51 @@ impl<'a> AttackEngine<'a> {
         self.ua.cycles()
     }
 
-    /// DIPs applied so far.
-    pub(crate) fn dips(&self) -> u64 {
-        self.dips
+    /// Racer `i`'s solver.
+    pub(crate) fn solver(&self, i: usize) -> MutexGuard<'_, Solver> {
+        unpoison(self.cnf.solvers[i].lock())
     }
 
-    /// Cumulative solver statistics.
-    pub(crate) fn solver_stats(&self) -> sat::SolverStats {
-        self.g.solver_ref().stats()
-    }
-
-    /// Swaps the solver's cooperative-cancellation handle (portfolio
-    /// rounds hand each racer a fresh child budget per round).
-    pub(crate) fn set_round_ctrl(&mut self, b: Budget) {
-        self.g.solver().set_ctrl(b);
-    }
-
-    /// The racer's solver diversification config.
-    pub(crate) fn solver_config(&self) -> SolverConfig {
-        self.g.solver_ref().config()
+    /// Swaps every solver's cooperative-cancellation handle (portfolio
+    /// rounds hand the racers a fresh child budget per round).
+    pub(crate) fn set_round_ctrl(&mut self, b: &Budget) {
+        for s in &mut self.cnf.solvers {
+            unpoison(s.get_mut()).set_ctrl(b.clone());
+        }
     }
 
     /// Builds (or rebuilds, after growth) the miter difference clause at
     /// the current depth under a fresh activation literal.
     fn refresh_miter(&mut self) {
-        let oa = self.enc.observables(&mut self.g, &self.ua);
-        let ob = self.enc.observables(&mut self.g, &self.ub);
-        let diff = observable_diff(&mut self.g, &oa, &ob);
-        let act = self.g.fresh();
-        self.g.assert_clause(&[!act, diff]);
+        let g = &mut self.cnf.g;
+        let oa = self.enc.observables(g, &self.ua);
+        let ob = self.enc.observables(g, &self.ub);
+        let diff = observable_diff(g, &oa, &ob);
+        let act = g.fresh();
+        g.assert_clause(&[!act, diff]);
         self.act = act;
+        self.cnf.flush();
     }
 
-    fn set_budget(&mut self) {
-        let stats = self.g.solver_ref().stats();
-        let remaining =
-            self.opts.conflict_budget.map(|total| total.saturating_sub(stats.conflicts));
-        self.g.solver().set_conflict_budget(remaining);
-        let steps_left =
-            self.opts.step_budget.map(|total| total.saturating_sub(stats.propagations));
-        self.g.solver().set_step_budget(steps_left);
+    /// Sets `s`'s per-solve budgets to what is left of the attack's.
+    fn set_budget(&self, s: &mut Solver) {
+        let stats = s.stats();
+        s.set_conflict_budget(self.opts.conflict_budget.map(|t| t.saturating_sub(stats.conflicts)));
+        s.set_step_budget(self.opts.step_budget.map(|t| t.saturating_sub(stats.propagations)));
     }
 
     /// Attributes a solver `Budget` outcome to the resource that ran dry.
-    fn budget_cause(&self) -> ExhaustCause {
-        let conflicts_spent = self.g.solver_ref().stats().conflicts;
+    fn budget_cause(&self, s: &Solver) -> ExhaustCause {
         match self.opts.conflict_budget {
-            Some(total) if conflicts_spent >= total => ExhaustCause::ConflictBudget,
+            Some(total) if s.stats().conflicts >= total => ExhaustCause::ConflictBudget,
             _ => ExhaustCause::StepBudget,
         }
     }
 
-    /// One decision of the DIP loop: solve the miter at the current
-    /// depth and classify the result.
-    pub(crate) fn step(&mut self) -> Step {
+    /// One decision of the DIP loop on racer `i`'s solver: solve the
+    /// miter at the current depth and classify the result. Racers step
+    /// concurrently; each locks only its own solver.
+    pub(crate) fn step(&self, i: usize) -> Step {
         if let Some(kind) = self.opts.budget.exceeded() {
             return Step::Exhausted(match kind {
                 CancelKind::Cancelled => ExhaustCause::Cancelled,
@@ -475,36 +505,33 @@ impl<'a> AttackEngine<'a> {
                 return Step::Exhausted(ExhaustCause::DipBudget);
             }
         }
-        self.set_budget();
+        let mut s = self.solver(i);
+        self.set_budget(&mut s);
         let mut dip_span = self.opts.obs.span("attack.dip");
-        let conflicts_before = self.g.solver_ref().stats().conflicts;
-        let act = self.act;
-        let outcome = self.g.solve_assuming(&[act]);
+        let conflicts_before = s.stats().conflicts;
+        let outcome = s.solve_assuming(&[self.act]);
         if dip_span.recording() {
             dip_span.arg("dip", self.dips);
             dip_span.arg("depth", u64::from(self.depth()));
-            dip_span
-                .arg("conflict_delta", self.g.solver_ref().stats().conflicts - conflicts_before);
-            dip_span.arg("vars", self.g.solver_ref().num_vars() as u64);
-            dip_span.arg("clauses", self.g.solver_ref().num_clauses() as u64);
+            dip_span.arg("conflict_delta", s.stats().conflicts - conflicts_before);
+            dip_span.arg("vars", s.num_vars() as u64);
+            dip_span.arg("clauses", s.num_clauses() as u64);
         }
         match outcome {
             SolveOutcome::Sat => {
-                let done_a = self.g.model(self.ua.done());
-                let done_b = self.g.model(self.ub.done());
+                let done_a = s.lit_true(self.ua.done());
+                let done_b = s.lit_true(self.ub.done());
                 if (done_a && done_b) || self.depth() == self.k_max {
                     // Both copies terminated within k ≤ k_max, so their
                     // frozen outputs equal the k_max observable — a
                     // genuine DIP. (At the full bound every model is.)
                     Step::Dip(AttackQuery {
-                        args: self.inputs.args.iter().map(|a| a.model_value(&self.g)).collect(),
+                        args: self.inputs.args.iter().map(|a| a.model_value(&s)).collect(),
                         mems: self
                             .inputs
                             .mems
                             .iter()
-                            .map(|(_, elems)| {
-                                elems.iter().map(|e| e.model_value(&self.g)).collect()
-                            })
+                            .map(|(_, elems)| elems.iter().map(|e| e.model_value(&s)).collect())
                             .collect(),
                     })
                 } else {
@@ -525,16 +552,15 @@ impl<'a> AttackEngine<'a> {
                 // finishes within k on every input, the depth-k
                 // observable equals the full-bound one and the collapse
                 // stands.
-                self.set_budget();
-                let not_done = !self.ua.done();
-                match self.g.solve_assuming(&[not_done]) {
+                self.set_budget(&mut s);
+                match s.solve_assuming(&[!self.ua.done()]) {
                     SolveOutcome::Sat => Step::NeedGrow,
                     SolveOutcome::Unsat => Step::Collapsed,
-                    SolveOutcome::Budget => Step::Exhausted(self.budget_cause()),
+                    SolveOutcome::Budget => Step::Exhausted(self.budget_cause(&s)),
                     SolveOutcome::Cancelled => self.cancelled_step(),
                 }
             }
-            SolveOutcome::Budget => Step::Exhausted(self.budget_cause()),
+            SolveOutcome::Budget => Step::Exhausted(self.budget_cause(&s)),
             SolveOutcome::Cancelled => self.cancelled_step(),
         }
     }
@@ -549,35 +575,80 @@ impl<'a> AttackEngine<'a> {
         }
     }
 
+    /// The DIP loop: `decide` answers each round; the loop queries the
+    /// oracle once per DIP and encodes the constraint, or the growth,
+    /// once for every solver. Returns the terminal status and the
+    /// accumulated I/O constraints.
+    pub(crate) fn dip_loop(
+        &mut self,
+        oracle: &mut dyn FnMut(&AttackQuery) -> OracleResponse,
+        mut decide: impl FnMut(&mut Self) -> Step,
+    ) -> (SatAttackStatus, Vec<IoConstraint>) {
+        let obs = self.opts.obs.clone();
+        let dip_counter = obs.counter("attack.dips");
+        // Progress counts DIPs, not racer steps: it ticks once per
+        // distinguishing input at any racer count.
+        let progress = self.opts.progress.clone();
+        if progress.enabled() {
+            progress.set_phase("sat-attack");
+            if let Some(max) = self.opts.max_dips {
+                progress.add_total(max);
+            }
+        }
+        let mut constraints: Vec<IoConstraint> = Vec::new();
+        let status = loop {
+            match decide(self) {
+                Step::Collapsed => break SatAttackStatus::Recovered,
+                Step::NeedGrow => self.grow_step(),
+                Step::Dip(query) => {
+                    self.opts.budget.fault_hit(faultpoint::sites::ATTACK_ORACLE, self.dips);
+                    let resp = {
+                        let _oracle_span = obs.span("attack.oracle");
+                        oracle(&query)
+                    };
+                    self.apply_dip(&query, &resp);
+                    dip_counter.inc();
+                    progress.tick();
+                    constraints.push(IoConstraint { query, response: resp });
+                }
+                Step::Exhausted(cause) => break SatAttackStatus::Exhausted(cause),
+                // The portfolio resolves lost rounds itself; with one
+                // solver its ctrl *is* the attack budget, so a
+                // cancellation here is the budget's.
+                Step::RoundCancelled => break SatAttackStatus::Exhausted(ExhaustCause::Cancelled),
+            }
+        };
+        (status, constraints)
+    }
+
     /// Deepens the unrolling (doubling, capped at the full bound):
     /// retires the old miter clause, grows both miter copies and every
     /// accumulated constraint by the new frames only, and re-asserts
     /// each constraint at the new depth.
-    pub(crate) fn grow_step(&mut self) {
+    fn grow_step(&mut self) {
         let k = self.depth();
         debug_assert!(k < self.k_max);
         let new_k = k.saturating_mul(2).min(self.k_max);
         let delta = new_k - k;
         let mut grow_span = self.opts.obs.span("attack.grow");
-        let act = self.act;
-        self.g.assert_true(!act);
-        self.enc.grow(&mut self.g, &mut self.ua, delta);
-        self.enc.grow(&mut self.g, &mut self.ub, delta);
+        self.cnf.g.assert_true(!self.act);
+        self.cnf.grow(&self.enc, &mut self.ua, delta);
+        self.cnf.grow(&self.enc, &mut self.ub, delta);
         self.refresh_miter();
         let exact = new_k == self.k_max;
         for c in &mut self.cons {
             for u in [&mut c.ua, &mut c.ub] {
-                self.enc.grow(&mut self.g, u, delta);
-                let obs_u = self.enc.observables(&mut self.g, u);
-                constrain_lazy(&mut self.g, &obs_u, &c.resp, exact);
+                self.cnf.grow(&self.enc, u, delta);
+                let obs_u = self.enc.observables(&mut self.cnf.g, u);
+                constrain_lazy(&mut self.cnf.g, &obs_u, &c.resp, exact);
+                self.cnf.flush();
             }
         }
         self.growths += 1;
         if grow_span.recording() {
             grow_span.arg("from", u64::from(k));
             grow_span.arg("to", u64::from(new_k));
-            grow_span.arg("vars", self.g.solver_ref().num_vars() as u64);
-            grow_span.arg("clauses", self.g.solver_ref().num_clauses() as u64);
+            self.size_args(&mut grow_span);
         }
     }
 
@@ -585,60 +656,79 @@ impl<'a> AttackEngine<'a> {
     /// pinned-input growable unrolling per key copy, constrained as an
     /// implication (`done_k → outputs = label`) so the fact stays sound
     /// as the depth grows.
-    pub(crate) fn apply_dip(&mut self, query: &AttackQuery, resp: &OracleResponse) {
-        let _pin_span = self.opts.obs.span("attack.constrain");
-        let pinned = self.enc.pinned_inputs(&mut self.g, &query.args, &query.mems);
+    fn apply_dip(&mut self, query: &AttackQuery, resp: &OracleResponse) {
+        let mut pin_span = self.opts.obs.span("attack.constrain");
+        let pinned = self.enc.pinned_inputs(&mut self.cnf.g, &query.args, &query.mems);
         let k = self.depth();
         let exact = k == self.k_max;
-        let mut states = Vec::with_capacity(2);
-        for key in [&self.key_a, &self.key_b] {
-            let mut u = self.enc.begin(&mut self.g, &pinned, key);
-            self.enc.grow(&mut self.g, &mut u, k);
-            let obs_u = self.enc.observables(&mut self.g, &u);
-            constrain_lazy(&mut self.g, &obs_u, resp, exact);
-            states.push(u);
-        }
-        let ub = states.pop().expect("two key copies");
-        let ua = states.pop().expect("two key copies");
+        let [ua, ub] = [&self.key_a, &self.key_b].map(|key| {
+            let mut u = self.enc.begin(&mut self.cnf.g, &pinned, key);
+            self.cnf.grow(&self.enc, &mut u, k);
+            let obs_u = self.enc.observables(&mut self.cnf.g, &u);
+            constrain_lazy(&mut self.cnf.g, &obs_u, resp, exact);
+            self.cnf.flush();
+            u
+        });
         self.cons.push(ConsEntry { resp: resp.clone(), ua, ub });
         self.dips += 1;
+        if pin_span.recording() {
+            self.size_args(&mut pin_span);
+        }
         if self.opts.obs.enabled() {
-            self.opts.obs.sample("attack.vars", self.g.solver_ref().num_vars() as u64);
-            self.opts.obs.sample("attack.clauses", self.g.solver_ref().num_clauses() as u64);
+            let (vars, clauses) = self.cnf.size();
+            self.opts.obs.sample("attack.vars", vars);
+            self.opts.obs.sample("attack.clauses", clauses);
         }
     }
 
-    /// Any key consistent with every collected I/O pair (the miter's
-    /// difference clause is released by leaving `act` free). This model
-    /// search runs unbudgeted and un-cancelled: the budgets govern the
-    /// collapse proof, and an exhausted or cancelled attack must still
-    /// hand back a key consistent with its partial constraints (the
-    /// true key always satisfies them, so this is cheap).
-    pub(crate) fn finish_model(&mut self) -> Option<KeyBits> {
-        self.g.solver().set_conflict_budget(None);
-        self.g.solver().set_step_budget(None);
-        self.g.solver().set_ctrl(Budget::unlimited());
-        let _model_span = self.opts.obs.span("attack.model");
-        match self.g.solver().solve() {
-            SolveOutcome::Sat => Some(self.key_a.model_key(&self.g)),
-            _ => None,
-        }
-    }
-
-    /// Packages the terminal state into the public outcome.
-    pub(crate) fn into_outcome(
-        self,
+    /// Ends the attack on racer `i`'s solver and packages the outcome
+    /// (`t0`: when the attack started).
+    ///
+    /// The recovered key is any key consistent with every collected I/O
+    /// pair (the miter's difference clause is released by leaving `act`
+    /// free). This model search runs unbudgeted and un-cancelled: the
+    /// budgets govern the collapse proof, and an exhausted or cancelled
+    /// attack must still hand back a key consistent with its partial
+    /// constraints (the true key always satisfies them, so this is
+    /// cheap). What it does not need — the gate builder, the constraint
+    /// encodings and the other racers' solvers — is released first,
+    /// under an `attack.release` span, so it runs with one solver
+    /// resident.
+    pub(crate) fn finish(
+        mut self,
+        i: usize,
         status: SatAttackStatus,
-        key: Option<KeyBits>,
-        wall: Duration,
+        t0: Instant,
         constraints: Vec<IoConstraint>,
     ) -> SatAttackOutcome {
-        let stats = self.g.solver_ref().stats();
+        let model_span = self.opts.obs.span("attack.model");
+        {
+            let _release_span = self.opts.obs.span("attack.release");
+            self.cnf.g = Gates::new();
+            self.cons = Vec::new();
+            for (j, s) in self.cnf.solvers.iter_mut().enumerate() {
+                if j != i {
+                    *unpoison(s.get_mut()) = Solver::new();
+                }
+            }
+        }
+        let s = self.cnf.solver_mut(i);
+        s.set_conflict_budget(None);
+        s.set_step_budget(None);
+        s.set_ctrl(Budget::unlimited());
+        let key = match s.solve() {
+            SolveOutcome::Sat => Some(self.key_a.model_key(s)),
+            _ => None,
+        };
+        drop(model_span);
+        let wall = t0.elapsed();
         let miter_cnf = if self.opts.measure_full_cnf {
             Some(measure_miter_cnf(self.enc.design(), self.depth()))
         } else {
             None
         };
+        let s = self.cnf.solver_mut(i);
+        let stats = s.stats();
         SatAttackOutcome {
             status,
             key,
@@ -646,8 +736,8 @@ impl<'a> AttackEngine<'a> {
             queries: self.dips,
             conflicts: stats.conflicts,
             propagations: stats.propagations,
-            vars: self.g.solver_ref().num_vars(),
-            clauses: self.g.solver_ref().num_clauses(),
+            vars: s.num_vars(),
+            clauses: s.num_clauses(),
             unroll_final: self.depth(),
             growths: self.growths,
             coi: self.enc.coi(),
@@ -659,7 +749,8 @@ impl<'a> AttackEngine<'a> {
 }
 
 /// Scratch two-copy miters at depth `k`, COI-pruned and full, for the
-/// before/after encoder comparison. Nothing is solved.
+/// before/after encoder comparison. Nothing is solved; the sizes are a
+/// solver's after ingest, like the attack's own.
 fn measure_miter_cnf(sim: &VlogSim, k: u32) -> CnfSizes {
     let size_with = |enc: &Encoder| {
         let mut g = Gates::new();
@@ -670,7 +761,9 @@ fn measure_miter_cnf(sim: &VlogSim, k: u32) -> CnfSizes {
         let ub = enc.unroll(&mut g, k, &inputs, &key_b);
         let diff = observable_diff(&mut g, &ua, &ub);
         g.assert_true(diff);
-        (g.solver_ref().num_vars(), g.solver_ref().num_clauses())
+        let mut s = Solver::new();
+        g.flush_into([&mut s]);
+        (s.num_vars(), s.num_clauses())
     };
     let (coi_vars, coi_clauses) = size_with(&Encoder::new(sim));
     let (full_vars, full_clauses) = size_with(&Encoder::full(sim));

@@ -10,7 +10,7 @@
 //! applies — and constants fold through the gate layer, which is what
 //! makes unrollings with pinned inputs collapse to near-nothing.
 
-use sat::{Gates, Lit};
+use sat::{Gates, Lit, Solver};
 
 /// A little-endian vector of literals (bit 0 = LSB).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,11 +54,12 @@ impl Bv {
         Some(v)
     }
 
-    /// The model value after a satisfiable solve.
-    pub fn model_value(&self, g: &Gates) -> u64 {
+    /// The model value after a satisfiable solve of a solver fed this
+    /// vector's gate builder.
+    pub fn model_value(&self, s: &Solver) -> u64 {
         let mut v = 0u64;
         for (i, &l) in self.0.iter().enumerate() {
-            if g.model(l) {
+            if s.lit_true(l) {
                 v |= 1 << i;
             }
         }
@@ -494,8 +495,10 @@ mod tests {
         let want = sum.equals_const(&mut g, 100);
         g.assert_true(want);
         a.pin(&mut g, 77);
-        assert_eq!(g.solver().solve(), sat::SolveOutcome::Sat);
-        assert_eq!(b.model_value(&g), 23);
+        let mut s = Solver::new();
+        g.flush_into([&mut s]);
+        assert_eq!(s.solve(), sat::SolveOutcome::Sat);
+        assert_eq!(b.model_value(&s), 23);
     }
 
     #[test]

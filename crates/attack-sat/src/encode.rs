@@ -26,7 +26,7 @@
 
 use crate::bitvec::{clamp_width, Bv};
 use hls_core::KeyBits;
-use sat::{Gates, Lit};
+use sat::{Gates, Lit, Solver};
 use vlog::ast::{BinOp, UnOp};
 use vlog::{CExpr, CStmt, SigKind, VlogSim};
 
@@ -59,10 +59,10 @@ impl KeyLits {
     }
 
     /// The model value of the key after a satisfiable solve.
-    pub fn model_key(&self, g: &Gates) -> KeyBits {
+    pub fn model_key(&self, s: &Solver) -> KeyBits {
         let mut k = KeyBits::zero(self.0.len() as u32);
         for (i, &l) in self.0.iter().enumerate() {
-            k.set_bit(i as u32, g.model(l));
+            k.set_bit(i as u32, s.lit_true(l));
         }
         k
     }

@@ -11,7 +11,7 @@
 //! workspace gets a *measured* attack-effort number instead of a
 //! key-width estimate.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! - [`bitvec::Bv`]: word-level circuit vectors over the [`sat::Gates`]
 //!   CNF layer, with the `vlog` simulator's exact two-state semantics;
@@ -25,7 +25,9 @@
 //!   k-boundary frame);
 //! - [`sat_attack_portfolio`]: the same loop as a race between
 //!   diversified solver configurations on a [`sim_core::GridExec`]
-//!   grid, first finisher deciding each round.
+//!   grid, first finisher deciding each round. One encoder and one gate
+//!   builder serve every racer: each encode step runs once and its
+//!   clause stream is loaded into every racer's solver.
 //!
 //! ## Example
 //!

@@ -1,36 +1,39 @@
 //! Portfolio SAT attack: diversified solver configurations racing on a
 //! [`sim_core::GridExec`] grid, first finisher wins each round.
 //!
-//! Every racer owns a complete [`sat_attack`](crate::sat_attack) engine
-//! — its own CNF, miter, and accumulated constraints — differing only
-//! in [`SolverConfig`] (VSIDS decay, restart scaling, phase
-//! initialization, seed). Each DIP-loop decision runs as a *round*: all
-//! racers solve the same question concurrently under a round-scoped
-//! child [`Budget`]; the first to finish cancels the round, and the
-//! lowest-indexed finisher's answer drives the loop (a deterministic
-//! tie-break, so the winner report is reproducible modulo racing).
-//! The coordinator queries the oracle once per DIP and broadcasts the
-//! constraint (or the depth growth) to every racer, keeping the fleet
-//! in lockstep.
+//! The racers share one attack engine: one encoder and one gate builder
+//! encode the miter, every DIP constraint and every growth step once,
+//! and the engine streams each step's clauses into every racer's solver
+//! in the same order. The solvers differ only in [`SolverConfig`] (VSIDS
+//! decay, restart scaling, phase initialization, seed), so each holds
+//! the clause stream a solo attack under its configuration would.
+//! Each DIP-loop decision runs as a *round*: all racers solve the same
+//! question concurrently under a round-scoped child [`Budget`]; the
+//! first to finish cancels the round, and the lowest-indexed finisher's
+//! answer drives the loop (a deterministic tie-break, so the winner
+//! report is reproducible modulo racing). The coordinator queries the
+//! oracle once per DIP and encodes the constraint (or the depth growth)
+//! once for the whole fleet.
 //!
 //! ```text
 //!             ┌────────── round: one DIP-loop decision ──────────┐
-//!             │ racer 0 (default cfg)      ──┐                   │
-//!  coordinator│ racer 1 (fast decay)       ──┼─► first finisher  │
-//!  ───────────┤ racer 2 (phase-true)       ──┤   cancels round,  │
-//!   oracle,   │ racer 3 (seeded phases)    ──┘   answer wins     │
-//!   broadcast └──────────────────────────────────────────────────┘
+//!             │ solver 0 (default cfg)     ──┐                   │
+//!  coordinator│ solver 1 (fast decay)      ──┼─► first finisher  │
+//!  ───────────┤ solver 2 (phase-true)      ──┤   cancels round,  │
+//!   oracle,   │ solver 3 (seeded phases)   ──┘   answer wins     │
+//!   encode    └──────────────────────────────────────────────────┘
+//!   once, stream into every solver
 //! ```
+//!
+//! [`Budget`]: sim_core::Budget
 
 use crate::attack::{
-    AttackEngine, AttackQuery, ExhaustCause, IoConstraint, OracleResponse, SatAttackOptions,
-    SatAttackOutcome, SatAttackStatus, Step,
+    AttackEngine, AttackQuery, ExhaustCause, OracleResponse, SatAttackOptions, SatAttackOutcome,
+    Step,
 };
 use sat::SolverConfig;
 use sim_core::ctrl::CancelKind;
-use sim_core::faultpoint;
 use sim_core::GridExec;
-use std::sync::Mutex;
 use std::time::Instant;
 use vlog::VlogSim;
 
@@ -134,44 +137,27 @@ pub fn sat_attack_portfolio(
 ) -> PortfolioOutcome {
     let t0 = Instant::now();
     let n = popts.racers.max(1);
-    let obs = opts.obs.clone();
-    let mut span = obs.span("attack.portfolio");
+    let mut span = opts.obs.span("attack.portfolio");
     let configs = diversified_configs(n);
-    let engines: Vec<Mutex<AttackEngine>> =
-        configs.iter().map(|&c| Mutex::new(AttackEngine::new(sim, opts, Some(c)))).collect();
-    let grid = GridExec::new(popts.threads.unwrap_or(n)).with_obs(obs.clone());
-
-    let dip_counter = obs.counter("attack.dips");
-    // Progress counts DIPs, not racer micro-steps: the per-round fleet
-    // grid stays progress-free (it would announce n per round), and the
-    // feed ticks once per distinguishing input like the single-engine
-    // attack does.
-    let progress = opts.progress.clone();
-    if progress.enabled() {
-        progress.set_phase("sat-attack");
-        if let Some(max) = opts.max_dips {
-            progress.add_total(max);
-        }
-    }
+    let mut eng = AttackEngine::new(sim, opts, &configs);
+    let grid = GridExec::new(popts.threads.unwrap_or(n)).with_obs(opts.obs.clone());
     let mut wins = vec![0u64; n];
     let mut rounds = 0u64;
     let mut winner = 0usize;
-    let mut constraints: Vec<IoConstraint> = Vec::new();
-    let status = loop {
+    let (status, constraints) = eng.dip_loop(oracle, |eng| {
         rounds += 1;
         // Round-scoped budget: a child of the attack budget, so the
         // attack's cancel/deadline still reaches mid-solve racers, but
         // the first finisher can stop this round's stragglers without
         // killing the attack.
         let round = opts.budget.child();
-        for e in &engines {
-            e.lock().unwrap().set_round_ctrl(round.clone());
-        }
-        let steps: Vec<Step> = grid.run(
+        eng.set_round_ctrl(&round);
+        let eng = &*eng;
+        let mut steps: Vec<Step> = grid.run(
             n,
             || (),
             |_, i| {
-                let s = engines[i].lock().unwrap().step();
+                let s = eng.step(i);
                 if !matches!(s, Step::RoundCancelled) {
                     round.cancel();
                 }
@@ -180,60 +166,34 @@ pub fn sat_attack_portfolio(
         );
         // Deterministic tie-break: the lowest-indexed racer that
         // actually finished drives the loop.
-        let Some(w) = (0..n).find(|&i| !matches!(steps[i], Step::RoundCancelled)) else {
+        match (0..n).find(|&i| !matches!(steps[i], Step::RoundCancelled)) {
+            Some(w) => {
+                winner = w;
+                wins[w] += 1;
+                steps.swap_remove(w)
+            }
             // Only reachable when the attack budget fired between the
             // racers' own checks; attribute it there.
-            break SatAttackStatus::Exhausted(match opts.budget.exceeded() {
+            None => Step::Exhausted(match opts.budget.exceeded() {
                 Some(CancelKind::DeadlineExpired) => ExhaustCause::Deadline,
                 _ => ExhaustCause::Cancelled,
-            });
-        };
-        winner = w;
-        wins[w] += 1;
-        match &steps[w] {
-            Step::Collapsed => break SatAttackStatus::Recovered,
-            Step::NeedGrow => {
-                grid.run(n, || (), |_, i| engines[i].lock().unwrap().grow_step());
-            }
-            Step::Dip(query) => {
-                let query = query.clone();
-                let dips = engines[w].lock().unwrap().dips();
-                opts.budget.fault_hit(faultpoint::sites::ATTACK_ORACLE, dips);
-                let resp = {
-                    let _oracle_span = obs.span("attack.oracle");
-                    oracle(&query)
-                };
-                grid.run(n, || (), |_, i| engines[i].lock().unwrap().apply_dip(&query, &resp));
-                dip_counter.inc();
-                progress.tick();
-                constraints.push(IoConstraint { query, response: resp });
-            }
-            Step::Exhausted(cause) => break SatAttackStatus::Exhausted(*cause),
-            Step::RoundCancelled => unreachable!("winner is a finisher"),
+            }),
         }
-    };
-
-    let mut engines: Vec<AttackEngine> =
-        engines.into_iter().map(|m| m.into_inner().unwrap()).collect();
-    let key = engines[winner].finish_model();
-    let racers: Vec<RacerReport> = engines
+    });
+    let racers: Vec<RacerReport> = configs
         .iter()
         .zip(&wins)
-        .map(|(e, &w)| {
-            let st = e.solver_stats();
-            RacerReport {
-                config: e.solver_config(),
-                wins: w,
-                conflicts: st.conflicts,
-                propagations: st.propagations,
-            }
+        .enumerate()
+        .map(|(i, (&config, &wins))| {
+            let st = eng.solver(i).stats();
+            RacerReport { config, wins, conflicts: st.conflicts, propagations: st.propagations }
         })
         .collect();
+    let outcome = eng.finish(winner, status, t0, constraints);
     if span.recording() {
         span.arg("racers", n as u64);
         span.arg("rounds", rounds);
         span.arg("winner", winner as u64);
     }
-    let outcome = engines.swap_remove(winner).into_outcome(status, key, t0.elapsed(), constraints);
     PortfolioOutcome { outcome, winner, rounds, racers }
 }

@@ -398,3 +398,123 @@ fn portfolio_recovers_the_exact_key_with_a_deterministic_report() {
     // The diversification axes actually differ between racers.
     assert!(out.racers.windows(2).any(|w| w[0].config != w[1].config));
 }
+
+/// A locked `(a ^ 21) + (b ^ 300)` design plus its true key.
+fn locked_adder(seed: u64) -> (Fsmd, KeyBits) {
+    let mut fsmd = synth("int f(int a, int b) { return (a ^ 21) + (b ^ 300); }", "f");
+    let key_bits: u32 = fsmd.consts.iter().map(|c| c.storage_width as u32).sum();
+    let key = xorshift_key(key_bits, seed);
+    lock_by_hand(&mut fsmd, &key);
+    (fsmd, key)
+}
+
+/// The oracle: the FSMD tape bound to the true key, observed through a
+/// `k`-cycle window.
+fn tape_oracle<'c>(
+    compiled: &'c CompiledFsmd,
+    key: &'c KeyBits,
+    k: u32,
+) -> impl FnMut(&AttackQuery) -> OracleResponse + 'c {
+    let mut runner = compiled.runner();
+    let opts = SimOptions { max_cycles: k as u64, snapshot_on_timeout: false };
+    move |q: &AttackQuery| {
+        let case = TestCase { args: q.args.clone(), mem_inputs: Vec::new() };
+        match runner.run_case(&case, key, &opts) {
+            Ok(stats) => OracleResponse { done: true, ret: stats.ret, mems: Vec::new() },
+            Err(_) => OracleResponse { done: false, ret: None, mems: Vec::new() },
+        }
+    }
+}
+
+/// A recording telemetry handle and the sink it records into.
+fn traced() -> (obs::Obs, std::sync::Arc<obs::ChromeTraceSink>) {
+    let sink = std::sync::Arc::new(obs::ChromeTraceSink::new());
+    (obs::Obs::new(std::sync::Arc::clone(&sink)), sink)
+}
+
+/// Every span named `name` in the trace, each with whether it ran inside
+/// a grid worker.
+fn spans_named(sink: &obs::ChromeTraceSink, name: &str) -> Vec<(obs::analyze::SpanNode, bool)> {
+    fn walk(
+        n: &obs::analyze::SpanNode,
+        name: &str,
+        in_worker: bool,
+        out: &mut Vec<(obs::analyze::SpanNode, bool)>,
+    ) {
+        if n.name == name {
+            out.push((n.clone(), in_worker));
+        }
+        let in_worker = in_worker || n.name == "grid.worker";
+        n.children.iter().for_each(|c| walk(c, name, in_worker, out));
+    }
+    let trace = obs::analyze::parse_trace(&sink.to_json()).expect("trace parses");
+    let mut out = Vec::new();
+    trace.roots.iter().for_each(|r| walk(r, name, false, &mut out));
+    out
+}
+
+const ENCODE_SPANS: [&str; 3] = ["attack.encode", "attack.constrain", "attack.grow"];
+
+#[test]
+fn one_racer_portfolio_is_the_plain_attack() {
+    // A one-racer portfolio streams the same clauses into a solver with
+    // the same (default) configuration, so it must retrace the plain
+    // attack exactly — through lazy growth (start at depth 2) and DIPs —
+    // and encode on the coordinator, never inside a grid worker.
+    use attack_sat::{sat_attack_portfolio, PortfolioOptions};
+    let (fsmd, key) = locked_adder(0x0AC3);
+    let sim = VlogSim::new(&verilog::emit(&fsmd)).expect("parses");
+    let compiled = CompiledFsmd::compile(&fsmd);
+    let opts = SatAttackOptions { unroll_cycles: 16, initial_unroll: 2, ..Default::default() };
+    let (o, solo_sink) = traced();
+    let solo = sat_attack(
+        &sim,
+        &SatAttackOptions { obs: o, ..opts.clone() },
+        &mut tape_oracle(&compiled, &key, 16),
+    );
+    let (o, raced_sink) = traced();
+    let popts = PortfolioOptions { racers: 1, threads: None };
+    let raced = sat_attack_portfolio(
+        &sim,
+        &SatAttackOptions { obs: o, ..opts },
+        &popts,
+        &mut tape_oracle(&compiled, &key, 16),
+    )
+    .outcome;
+    assert_eq!(solo.status, SatAttackStatus::Recovered);
+    assert!(solo.growths > 0 && solo.dips > 0, "the run must exercise growth and DIPs");
+    assert_eq!(raced.constraints, solo.constraints, "same DIPs in the same order");
+    assert_eq!((raced.vars, raced.clauses), (solo.vars, solo.clauses), "same CNF");
+    assert_eq!((raced.conflicts, raced.propagations), (solo.conflicts, solo.propagations));
+    assert_eq!(raced.key, solo.key);
+    for name in ENCODE_SPANS {
+        let (solo_spans, raced_spans) =
+            (spans_named(&solo_sink, name), spans_named(&raced_sink, name));
+        assert_eq!(raced_spans.len(), solo_spans.len(), "`{name}` count");
+        assert!(raced_spans.iter().all(|(_, in_worker)| !in_worker), "`{name}` ran on the grid");
+        assert!(raced_spans.iter().all(|(s, _)| s.args.get("racers") == Some(&1)), "`{name}`");
+    }
+}
+
+#[test]
+fn portfolio_encodes_the_miter_once() {
+    // Three racers, one encoding: the traced attack holds exactly one
+    // `attack.encode` span, and it reports the racer count and how long
+    // the solvers spent ingesting.
+    use attack_sat::{sat_attack_portfolio, PortfolioOptions};
+    let (fsmd, key) = locked_adder(0xBEEF);
+    let sim = VlogSim::new(&verilog::emit(&fsmd)).expect("parses");
+    let compiled = CompiledFsmd::compile(&fsmd);
+    let (o, sink) = traced();
+    let opts = SatAttackOptions { unroll_cycles: 16, obs: o, ..Default::default() };
+    let popts = PortfolioOptions { racers: 3, threads: None };
+    let out = sat_attack_portfolio(&sim, &opts, &popts, &mut tape_oracle(&compiled, &key, 16));
+    assert_eq!(out.outcome.status, SatAttackStatus::Recovered);
+    let encodes = spans_named(&sink, "attack.encode");
+    assert_eq!(encodes.len(), 1, "one miter encoding for the whole fleet");
+    let args = &encodes[0].0.args;
+    assert_eq!(args.get("racers"), Some(&3));
+    assert!(args.get("ingest_ns").is_some_and(|&ns| ns > 0 && ns < encodes[0].0.dur_ns));
+    let constrains = spans_named(&sink, "attack.constrain");
+    assert_eq!(constrains.len() as u64, out.outcome.dips, "one constraint encoding per DIP");
+}

@@ -227,13 +227,24 @@ pub fn sat_portfolio_smoke() -> String {
     let k = attack_kernels().into_iter().find(|k| k.name == "mix").expect("mix exists");
     let (d, wk) = lock_kernel(&k, PlanConfig::techniques(true, true, false), 0x90f7);
     let cases: Vec<TestCase> = k.cases.iter().map(|args| TestCase::args(args)).collect();
+    let sink = std::sync::Arc::new(obs::ChromeTraceSink::new());
     let cfg = SatAttackConfig {
         max_dips: Some(64),
         conflict_budget: Some(1_000_000),
+        obs: obs::Obs::new(std::sync::Arc::clone(&sink)),
         ..SatAttackConfig::default()
     };
     let popts = tao::PortfolioOptions { racers: 3, ..Default::default() };
     let att = tao::sat_attack_design_portfolio(&d, &wk, &cases, &cfg, &popts).expect("text parses");
+    // The racers share one encoding: one miter build per portfolio
+    // attack, however many solvers it feeds.
+    let trace = obs::analyze::parse_trace(&sink.to_json()).expect("trace parses");
+    let count = |name: &str| {
+        obs::analyze::attribution(&trace).iter().find(|p| p.name == name).map_or(0, |p| p.count)
+    };
+    let (attacks, encodes) = (count("attack.portfolio"), count("attack.encode"));
+    assert!(attacks >= 1, "the portfolio attack must be traced");
+    assert_eq!(encodes, attacks, "one attack.encode span per portfolio attack");
     assert!(
         att.attack.recovered(),
         "portfolio key space must collapse: {:?}",
@@ -252,7 +263,7 @@ pub fn sat_portfolio_smoke() -> String {
         .collect();
     format!(
         "sat-portfolio-smoke: mix/cb- {} key bits recovered exactly by {} racers in {} \
-         rounds (final winner r{}); standings {}",
+         rounds (final winner r{}, {encodes} miter encoding); standings {}",
         wk.width(),
         popts.racers,
         att.rounds,

@@ -1,14 +1,19 @@
 //! A small CNF-building API: Tseitin gate encoding with constant folding
 //! and structural hashing.
 //!
-//! [`Gates`] wraps a [`Solver`] and hands out literals for logic gates.
-//! Constants fold away (`and(x, ⊥) = ⊥`), repeated structure is hashed to
-//! one literal (`and(a, b)` twice returns the same literal), and trivial
-//! identities short-circuit (`and(a, a) = a`, `and(a, ¬a) = ⊥`). Circuit
-//! encoders — like the netlist bit-blaster in `attack-sat` — build word
-//! structures on top of this layer without ever writing a raw clause.
+//! [`Gates`] hands out literals for logic gates. Constants fold away
+//! (`and(x, ⊥) = ⊥`), repeated structure is hashed to one literal
+//! (`and(a, b)` twice returns the same literal), and trivial identities
+//! short-circuit (`and(a, a) = a`, `and(a, ¬a) = ⊥`). Circuit encoders —
+//! like the netlist bit-blaster in `attack-sat` — build word structures
+//! on top of this layer without ever writing a raw clause.
+//!
+//! The builder owns no solver. It numbers variables itself and appends
+//! every clause to a flat pending buffer; [`Gates::flush_into`] streams
+//! that buffer into any number of [`Solver`]s, so one encoding can feed
+//! every racer of a portfolio.
 
-use crate::solver::{Lit, SolveOutcome, Solver};
+use crate::solver::{Lit, Solver, Var};
 use std::collections::HashMap;
 
 /// Gate kinds used as structural-hash keys.
@@ -19,19 +24,65 @@ enum GateOp {
     Mux,
 }
 
-/// A Tseitin gate builder over a [`Solver`].
+/// A Tseitin gate builder emitting a clause stream.
 #[derive(Debug, Default)]
 pub struct Gates {
-    solver: Solver,
+    /// Variables allocated so far.
+    num_vars: u32,
+    /// Clauses emitted so far, drained or not.
+    num_clauses: usize,
     truth: Option<Lit>,
     /// Structural hash: `(op, a, b, c)` → output literal.
     cache: HashMap<(GateOp, Lit, Lit, Lit), Lit>,
+    /// Literals of the clauses emitted since the last
+    /// [`Gates::flush_into`], back to back.
+    lits: Vec<Lit>,
+    /// `ends[i]`: end offset of pending clause `i` in `lits`.
+    ends: Vec<u32>,
 }
 
 impl Gates {
-    /// An empty builder with its own fresh solver.
+    /// An empty builder.
     pub fn new() -> Gates {
         Gates::default()
+    }
+
+    /// Appends one clause to the pending stream.
+    fn emit(&mut self, lits: &[Lit]) {
+        self.lits.extend_from_slice(lits);
+        let end = u32::try_from(self.lits.len()).expect("pending stream below 2^32 literals");
+        self.ends.push(end);
+        self.num_clauses += 1;
+    }
+
+    /// Variables allocated so far.
+    pub fn num_vars(&self) -> usize {
+        self.num_vars as usize
+    }
+
+    /// Clauses emitted so far (before any solver-side normalization).
+    pub fn num_clauses(&self) -> usize {
+        self.num_clauses
+    }
+
+    /// The pending clauses in emission order.
+    fn pending(&self) -> impl Iterator<Item = &[Lit]> + '_ {
+        self.ends.iter().scan(0usize, move |start, &end| {
+            let c = &self.lits[*start..end as usize];
+            *start = end as usize;
+            Some(c)
+        })
+    }
+
+    /// Streams the clauses emitted since the last flush, and every
+    /// variable allocated so far, into each of `solvers` in turn (see
+    /// [`Solver::ingest`]), then drops them from the builder.
+    pub fn flush_into<'s>(&mut self, solvers: impl IntoIterator<Item = &'s mut Solver>) {
+        for s in solvers {
+            s.ingest(self.num_vars(), self.pending());
+        }
+        self.lits.clear();
+        self.ends.clear();
     }
 
     /// The constant-true literal (allocated on first use).
@@ -39,8 +90,8 @@ impl Gates {
         match self.truth {
             Some(t) => t,
             None => {
-                let t = self.solver.new_var().pos();
-                self.solver.add_clause(&[t]);
+                let t = self.fresh();
+                self.emit(&[t]);
                 self.truth = Some(t);
                 t
             }
@@ -80,7 +131,9 @@ impl Gates {
 
     /// A fresh free literal.
     pub fn fresh(&mut self) -> Lit {
-        self.solver.new_var().pos()
+        let v = Var(self.num_vars);
+        self.num_vars += 1;
+        v.pos()
     }
 
     /// `¬a` (no clauses — literals carry their own polarity).
@@ -108,9 +161,9 @@ impl Gates {
             return o;
         }
         let o = self.fresh();
-        self.solver.add_clause(&[!o, x]);
-        self.solver.add_clause(&[!o, y]);
-        self.solver.add_clause(&[o, !x, !y]);
+        self.emit(&[!o, x]);
+        self.emit(&[!o, y]);
+        self.emit(&[o, !x, !y]);
         self.cache.insert(key, o);
         o
     }
@@ -150,10 +203,10 @@ impl Gates {
             Some(&o) => o,
             None => {
                 let o = self.fresh();
-                self.solver.add_clause(&[!o, x, y]);
-                self.solver.add_clause(&[!o, !x, !y]);
-                self.solver.add_clause(&[o, !x, y]);
-                self.solver.add_clause(&[o, x, !y]);
+                self.emit(&[!o, x, y]);
+                self.emit(&[!o, !x, !y]);
+                self.emit(&[o, !x, y]);
+                self.emit(&[o, x, !y]);
                 self.cache.insert(key, o);
                 o
             }
@@ -194,13 +247,13 @@ impl Gates {
             return o;
         }
         let o = self.fresh();
-        self.solver.add_clause(&[!c, !t, o]);
-        self.solver.add_clause(&[!c, t, !o]);
-        self.solver.add_clause(&[c, !e, o]);
-        self.solver.add_clause(&[c, e, !o]);
+        self.emit(&[!c, !t, o]);
+        self.emit(&[!c, t, !o]);
+        self.emit(&[c, !e, o]);
+        self.emit(&[c, e, !o]);
         // Redundant but propagation-strengthening: t ∧ e → o, ¬t ∧ ¬e → ¬o.
-        self.solver.add_clause(&[!t, !e, o]);
-        self.solver.add_clause(&[t, e, !o]);
+        self.emit(&[!t, !e, o]);
+        self.emit(&[t, e, !o]);
         self.cache.insert(key, o);
         o
     }
@@ -225,42 +278,19 @@ impl Gates {
 
     /// Asserts a literal at the top level.
     pub fn assert_true(&mut self, l: Lit) {
-        self.solver.add_clause(&[l]);
+        self.emit(&[l]);
     }
 
     /// Asserts a raw clause.
     pub fn assert_clause(&mut self, lits: &[Lit]) {
-        self.solver.add_clause(lits);
-    }
-
-    /// The underlying solver.
-    pub fn solver(&mut self) -> &mut Solver {
-        &mut self.solver
-    }
-
-    /// Read-only access to the underlying solver.
-    pub fn solver_ref(&self) -> &Solver {
-        &self.solver
-    }
-
-    /// Solves under assumptions (convenience passthrough).
-    pub fn solve_assuming(&mut self, assumptions: &[Lit]) -> SolveOutcome {
-        self.solver.solve_assuming(assumptions)
-    }
-
-    /// Model value of a literal after a satisfiable solve. Constants
-    /// evaluate to themselves.
-    pub fn model(&self, l: Lit) -> bool {
-        match self.const_value(l) {
-            Some(v) => v,
-            None => self.solver.lit_true(l),
-        }
+        self.emit(lits);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SolveOutcome;
 
     /// Checks `f` against `want` on all four input combinations by
     /// pinning inputs with assumptions.
@@ -271,15 +301,17 @@ mod tests {
         let mut g = Gates::new();
         let (a, b) = (g.fresh(), g.fresh());
         let o = build(&mut g, a, b);
+        let mut s = Solver::new();
+        g.flush_into([&mut s]);
         for (va, vb) in [(false, false), (false, true), (true, false), (true, true)] {
             let assume = [
                 if va { a } else { !a },
                 if vb { b } else { !b },
                 if want(va, vb) { o } else { !o },
             ];
-            assert_eq!(g.solve_assuming(&assume), SolveOutcome::Sat, "a={va} b={vb}");
+            assert_eq!(s.solve_assuming(&assume), SolveOutcome::Sat, "a={va} b={vb}");
             let bad = [assume[0], assume[1], !assume[2]];
-            assert_eq!(g.solve_assuming(&bad), SolveOutcome::Unsat, "¬(a={va} b={vb})");
+            assert_eq!(s.solve_assuming(&bad), SolveOutcome::Unsat, "¬(a={va} b={vb})");
         }
     }
 
@@ -296,6 +328,8 @@ mod tests {
         let mut g = Gates::new();
         let (c, t, e) = (g.fresh(), g.fresh(), g.fresh());
         let o = g.mux(c, t, e);
+        let mut s = Solver::new();
+        g.flush_into([&mut s]);
         for bits in 0..8u32 {
             let (vc, vt, ve) = (bits & 1 == 1, bits & 2 == 2, bits & 4 == 4);
             let want = if vc { vt } else { ve };
@@ -305,9 +339,9 @@ mod tests {
                 if ve { e } else { !e },
                 if want { o } else { !o },
             ];
-            assert_eq!(g.solve_assuming(&assume), SolveOutcome::Sat);
+            assert_eq!(s.solve_assuming(&assume), SolveOutcome::Sat);
             let bad = [assume[0], assume[1], assume[2], !assume[3]];
-            assert_eq!(g.solve_assuming(&bad), SolveOutcome::Unsat);
+            assert_eq!(s.solve_assuming(&bad), SolveOutcome::Unsat);
         }
     }
 
@@ -317,7 +351,8 @@ mod tests {
         let a = g.fresh();
         let t = g.tru();
         let f = g.fls();
-        let before = g.solver_ref().num_clauses();
+        let (vars, clauses) = (g.num_vars(), g.num_clauses());
+        assert_eq!(clauses, 1, "the constant-true unit is the only clause");
         assert_eq!(g.and(a, t), a);
         assert_eq!(g.and(a, f), f);
         assert_eq!(g.or(a, f), a);
@@ -327,7 +362,11 @@ mod tests {
         assert_eq!(g.and(a, !a), f);
         assert_eq!(g.xor(a, a), f);
         assert_eq!(g.mux(t, a, f), a);
-        assert_eq!(g.solver_ref().num_clauses(), before);
+        assert_eq!((g.num_vars(), g.num_clauses()), (vars, clauses));
+        // The same builder does count a gate that cannot fold.
+        let b = g.fresh();
+        g.and(a, b);
+        assert_eq!(g.num_clauses(), clauses + 3);
     }
 
     #[test]
@@ -340,10 +379,12 @@ mod tests {
         let x1 = g.xor(a, b);
         let x2 = g.xor(!a, b);
         assert_eq!(x1, !x2, "xor polarity folds into the output");
-        let vars = g.solver_ref().num_vars();
+        let (vars, clauses) = (g.num_vars(), g.num_clauses());
+        assert_eq!((vars, clauses), (4, 7), "one and + one xor");
         g.and(a, b);
         g.xor(b, a);
-        assert_eq!(g.solver_ref().num_vars(), vars, "no new vars for cached gates");
+        assert_eq!(g.num_vars(), vars, "no new vars for cached gates");
+        assert_eq!(g.num_clauses(), clauses, "no new clauses for cached gates");
     }
 
     #[test]
@@ -352,11 +393,35 @@ mod tests {
         let xs: Vec<Lit> = (0..5).map(|_| g.fresh()).collect();
         let all = g.and_many(&xs);
         let any = g.or_many(&xs);
+        let mut s = Solver::new();
+        g.flush_into([&mut s]);
         let assume_all: Vec<Lit> = xs.iter().copied().chain([!all]).collect();
-        assert_eq!(g.solve_assuming(&assume_all), SolveOutcome::Unsat);
+        assert_eq!(s.solve_assuming(&assume_all), SolveOutcome::Unsat);
         let assume_none: Vec<Lit> = xs.iter().map(|&l| !l).chain([any]).collect();
-        assert_eq!(g.solve_assuming(&assume_none), SolveOutcome::Unsat);
+        assert_eq!(s.solve_assuming(&assume_none), SolveOutcome::Unsat);
         let empty = g.and_many(&[]);
         assert!(g.is_const(empty, true));
+    }
+
+    #[test]
+    fn pending_stream_replays_into_any_number_of_solvers() {
+        // Two solvers fed the same stream in two flushes agree with each
+        // other and with the builder's counts.
+        let mut g = Gates::new();
+        let (a, b) = (g.fresh(), g.fresh());
+        let x = g.xor(a, b);
+        g.assert_true(x);
+        let mut solvers = [Solver::new(), Solver::new()];
+        g.flush_into(&mut solvers);
+        assert_eq!(g.pending().count(), 0);
+        g.assert_true(a);
+        let fresh = g.fresh(); // a variable no clause mentions yet
+        g.flush_into(&mut solvers);
+        for s in &mut solvers {
+            assert_eq!(s.num_vars(), g.num_vars());
+            assert_eq!(s.solve(), SolveOutcome::Sat);
+            assert!(s.lit_true(a) && !s.lit_true(b));
+            assert!(fresh.var().0 < s.num_vars() as u32);
+        }
     }
 }

@@ -17,11 +17,14 @@
 //! - [`Gates`]: a small CNF-building API — Tseitin-encoded `and` / `or` /
 //!   `xor` / `mux` gates with constant folding and structural hashing —
 //!   the layer the `attack-sat` bit-blaster builds word-level circuits on.
+//!   It owns no solver: it emits a flat clause stream that
+//!   [`Gates::flush_into`] loads into any number of solvers (through
+//!   [`Solver::ingest`]), so one encoding can feed several.
 //!
 //! ## Example
 //!
 //! ```
-//! use sat::{Gates, SolveOutcome};
+//! use sat::{Gates, SolveOutcome, Solver};
 //!
 //! // A 2-bit adder bit: s = a ⊕ b, c = a ∧ b; assert s ∧ c — impossible.
 //! let mut g = Gates::new();
@@ -30,7 +33,9 @@
 //! let c = g.and(a, b);
 //! let both = g.and(s, c);
 //! g.assert_true(both);
-//! assert_eq!(g.solver().solve(), SolveOutcome::Unsat);
+//! let mut solver = Solver::new();
+//! g.flush_into([&mut solver]);
+//! assert_eq!(solver.solve(), SolveOutcome::Unsat);
 //! ```
 
 #![forbid(unsafe_code)]

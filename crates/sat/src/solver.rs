@@ -209,6 +209,9 @@ fn lv(assign: &[u8], l: Lit) -> u8 {
 const FALSE: u8 = 2;
 
 const NO_REASON: u32 = u32::MAX;
+/// Clauses up to this length are normalized by [`Solver::add_clause`]
+/// without touching the heap (Tseitin gates emit at most three literals).
+const ADD_CLAUSE_STACK: usize = 16;
 /// Tag bit marking a reason as a binary implication: the low bits hold
 /// the *other* literal of the binary clause instead of a clause index.
 /// `NO_REASON` (`u32::MAX`) also carries the tag, so always test for it
@@ -471,39 +474,78 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        // Normalize: sort, dedup, drop root-false literals, detect
-        // tautologies and root-true literals.
-        let mut c: Vec<Lit> = lits.to_vec();
+        // Normalize in place on a stack copy (clauses longer than the
+        // buffer are rare and take one heap copy): sort, drop duplicates
+        // and root-false literals, detect tautologies and root-true
+        // literals.
+        let mut stack = [Lit(0); ADD_CLAUSE_STACK];
+        let mut heap = Vec::new();
+        let c: &mut [Lit] = if lits.len() <= ADD_CLAUSE_STACK {
+            stack[..lits.len()].copy_from_slice(lits);
+            &mut stack[..lits.len()]
+        } else {
+            heap.extend_from_slice(lits);
+            &mut heap
+        };
         c.sort_unstable();
-        c.dedup();
-        let mut out: Vec<Lit> = Vec::with_capacity(c.len());
-        for (i, &l) in c.iter().enumerate() {
+        let mut n = 0usize;
+        let mut prev = None;
+        for i in 0..c.len() {
+            let l = c[i];
             if i + 1 < c.len() && c[i + 1] == !l {
                 return true; // tautology (x ∨ ¬x)
             }
+            if prev == Some(l) {
+                continue;
+            }
+            prev = Some(l);
             match self.lit_value(l) {
                 TRUE => return true,
                 FALSE => {}
-                _ => out.push(l),
+                _ => {
+                    c[n] = l;
+                    n += 1;
+                }
             }
         }
-        match out.len() {
+        match n {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.enqueue(out[0], NO_REASON);
+                self.enqueue(c[0], NO_REASON);
                 self.ok = self.propagate().is_none();
                 self.ok
             }
             2 => {
-                self.attach_binary(out[0], out[1]);
+                self.attach_binary(c[0], c[1]);
                 true
             }
             _ => {
-                self.attach(out, false, 0);
+                self.attach(&c[..n], false, 0);
                 true
+            }
+        }
+    }
+
+    /// Bulk ingest, the one entry point for clause streams built
+    /// elsewhere (see [`crate::Gates`]): grows the variable set to
+    /// `num_vars`, then adds `clauses` in order. The result is the state
+    /// any interleaving of the same [`Solver::new_var`] and
+    /// [`Solver::add_clause`] calls would leave, provided each variable
+    /// exists before the first clause naming it: a fresh variable touches
+    /// no clause state, and adding a clause at level 0 touches neither
+    /// the decision heap nor the seeded phase stream. Once the clause set
+    /// is unsatisfiable at the top level the rest of the stream is moot
+    /// and skipped.
+    pub fn ingest<'c>(&mut self, num_vars: usize, clauses: impl IntoIterator<Item = &'c [Lit]>) {
+        while self.num_vars() < num_vars {
+            self.new_var();
+        }
+        for c in clauses {
+            if !self.add_clause(c) {
+                return;
             }
         }
     }
@@ -660,7 +702,7 @@ impl Solver {
                         self.enqueue(asserting, bin_reason(learnt[1]));
                     }
                     _ => {
-                        let cref = self.attach(learnt, true, glue);
+                        let cref = self.attach(&learnt, true, glue);
                         self.enqueue(asserting, cref);
                     }
                 }
@@ -1045,13 +1087,13 @@ impl Solver {
         }
     }
 
-    fn attach(&mut self, lits: Vec<Lit>, learnt: bool, glue: u32) -> u32 {
+    fn attach(&mut self, lits: &[Lit], learnt: bool, glue: u32) -> u32 {
         debug_assert!(lits.len() >= 3);
         let cref = self.clauses.len() as u32;
         self.watches[lits[0].code()].push(Watch { cref, blocker: lits[1] });
         self.watches[lits[1].code()].push(Watch { cref, blocker: lits[0] });
         let start = self.lit_arena.len() as u32;
-        self.lit_arena.extend_from_slice(&lits);
+        self.lit_arena.extend_from_slice(lits);
         self.clauses.push(Clause {
             start,
             len: lits.len() as u32,
@@ -1348,6 +1390,70 @@ mod tests {
             }
             let got = s.solve();
             assert_eq!(got == SolveOutcome::Sat, brute, "clauses {clauses:?}");
+        }
+    }
+
+    #[test]
+    fn add_clause_normalization_agrees_with_brute_force() {
+        // Clauses built to hit every normalization path: duplicates,
+        // complementary pairs (tautologies), literals already true or
+        // false at the root (units asserted first), and clauses longer
+        // than the stack buffer — a short core split around padding of
+        // root-false literals, so the core survives only if both ends of
+        // a long clause are copied.
+        let mut rng = StdRng::seed_from_u64(2024);
+        for _ in 0..400 {
+            let n = rng.gen_range(2..8usize);
+            let units: Vec<(usize, bool)> = (0..rng.gen_range(1..3usize))
+                .map(|_| (rng.gen_range(0..n), rng.gen_bool(0.5)))
+                .collect();
+            let mut clauses: Vec<Vec<(usize, bool)>> = units.iter().map(|&u| vec![u]).collect();
+            for _ in 0..rng.gen_range(1..16usize) {
+                let mut c: Vec<(usize, bool)> = (0..rng.gen_range(1..5usize))
+                    .map(|_| (rng.gen_range(0..n), rng.gen_bool(0.5)))
+                    .collect();
+                match rng.gen_range(0..5u32) {
+                    0 => c.push(c[0]),
+                    1 => c.push((c[0].0, !c[0].1)),
+                    2 => {
+                        let pad = (0..rng.gen_range(ADD_CLAUSE_STACK..ADD_CLAUSE_STACK + 8))
+                            .map(|_| {
+                                let (v, pos) = units[rng.gen_range(0..units.len())];
+                                (v, !pos)
+                            })
+                            .collect::<Vec<_>>();
+                        let tail = c.split_off(c.len() / 2);
+                        c.extend(pad);
+                        c.extend(tail);
+                    }
+                    _ => {}
+                }
+                clauses.push(c);
+            }
+            let brute = (0..1u32 << n).any(|m| {
+                clauses.iter().all(|c| c.iter().any(|&(v, pos)| ((m >> v) & 1 == 1) == pos))
+            });
+            let mut s = Solver::new();
+            let vars: Vec<Var> = (0..n).map(|_| s.new_var()).collect();
+            let lits = |c: &Vec<(usize, bool)>| -> Vec<Lit> {
+                c.iter().map(|&(v, pos)| if pos { vars[v].pos() } else { vars[v].neg() }).collect()
+            };
+            let mut ok = true;
+            for c in &clauses {
+                let added = s.add_clause(&lits(c));
+                assert!(ok || !added, "add_clause recovered from a root conflict");
+                ok = added;
+            }
+            if !ok {
+                assert!(!brute, "root conflict on a satisfiable set {clauses:?}");
+            }
+            let got = s.solve();
+            assert_eq!(got == SolveOutcome::Sat, brute, "clauses {clauses:?}");
+            if got == SolveOutcome::Sat {
+                for c in &clauses {
+                    assert!(lits(c).iter().any(|&l| s.lit_true(l)), "model violates {c:?}");
+                }
+            }
         }
     }
 

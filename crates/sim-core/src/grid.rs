@@ -89,15 +89,16 @@ impl<T> TrialCell<T> {
     }
 }
 
-/// Recovers the protected value whether or not the mutex was poisoned.
-/// Works on both `lock()` guards and `into_inner()` values: a poisoned
-/// grid mutex only ever means "a worker panicked mid-publish", and the
-/// per-trial cells already carry that outcome.
 /// Per-worker result buckets: each worker pushes `(trial index, cell)`
 /// pairs under its own lock, drained slot-indexed at the end.
 type CellBuckets<T> = Vec<Mutex<Vec<(usize, TrialCell<T>)>>>;
 
-fn unpoison<T>(r: Result<T, PoisonError<T>>) -> T {
+/// Recovers the protected value whether or not the mutex was poisoned.
+/// Works on `lock()` guards, `get_mut()` borrows and `into_inner()`
+/// values: a mutex shared with grid trials is only poisoned when a trial
+/// panicked mid-update, and the grid already reports that panic in the
+/// trial's cell (or re-raises it from [`GridExec::run`]).
+pub fn unpoison<T>(r: Result<T, PoisonError<T>>) -> T {
     r.unwrap_or_else(PoisonError::into_inner)
 }
 

@@ -24,7 +24,7 @@ use common::gen_program;
 use hls_core::{verilog, KeyBits};
 use proptest::prelude::*;
 use rtl::SimError;
-use sat::{Gates, SolveOutcome};
+use sat::{Gates, SolveOutcome, Solver};
 use vlog::{VlogSim, VlogTape};
 
 fn locking_key(seed: u64) -> KeyBits {
@@ -153,7 +153,9 @@ proptest! {
             }
         }
         g.assert_true(diff);
-        prop_assert_eq!(g.solver().solve(), SolveOutcome::Unsat);
+        let mut solver = Solver::new();
+        g.flush_into([&mut solver]);
+        prop_assert_eq!(solver.solve(), SolveOutcome::Unsat);
     }
 
     /// COI pruning and staged incremental growth are invisible in the
