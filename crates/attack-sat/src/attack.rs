@@ -11,6 +11,14 @@
 //! collapsed to one observable-equivalence class — and any key satisfying
 //! the accumulated I/O constraints unlocks the chip.
 //!
+//! The key comes out of the DIP loop's own models. Each DIP model already
+//! satisfies every earlier constraint for both key copies, so a copy
+//! whose observable on the DIP meets the oracle's label holds a key that
+//! satisfies every constraint including the new one. The attack keeps
+//! that key as its candidate and returns it at the end; only when no
+//! copy matched, or the unrolling grew since, does it search the
+//! constraints once more for a key.
+//!
 //! The observable is the k-cycle-bounded run: `(terminates within k
 //! cycles, output image at the first done cycle)` — exactly what a
 //! fixed-duration testbench (or `simulate` with `max_cycles = k`)
@@ -291,13 +299,102 @@ pub(crate) enum Step {
     /// unrolling must grow before the loop can conclude anything.
     NeedGrow,
     /// A genuine distinguishing input — both copies terminate within
-    /// the current depth (or the depth is already the full bound).
-    Dip(AttackQuery),
+    /// the current depth (or the depth is already the full bound) — and
+    /// what each miter copy holds in the model that found it.
+    Dip(AttackQuery, Box<[CopyModel; 2]>),
     /// A budget ran out or the attack's own `Budget` fired.
     Exhausted(ExhaustCause),
     /// The solver's ctrl was cancelled but the attack budget is intact —
     /// a portfolio round lost the race, not a terminal state.
     RoundCancelled,
+}
+
+/// One miter copy in a DIP model: its key and its observable on the DIP.
+/// The model satisfies every constraint collected so far for both keys,
+/// so a copy whose observable meets the oracle's label holds a key that
+/// satisfies the new constraint too.
+pub(crate) struct CopyModel {
+    key: KeyBits,
+    obs: ObsModel,
+}
+
+/// An unrolling's observable as one model assigns it, in [`Unrolling`]
+/// order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct ObsModel {
+    done: bool,
+    ret: Option<Word>,
+    mems: Vec<Vec<Word>>,
+}
+
+/// One output word in a model: its value and its width's bit mask.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Word {
+    value: u64,
+    mask: u64,
+}
+
+impl Word {
+    fn read(s: &Solver, v: &Bv) -> Word {
+        Word { value: v.model_value(s), mask: width_mask(v.width()) }
+    }
+
+    /// Whether pinning the word to `want` holds: like [`Bv::pin`], only
+    /// `want`'s low `width` bits count.
+    fn is(self, want: u64) -> bool {
+        self.value == want & self.mask
+    }
+}
+
+impl ObsModel {
+    fn read(s: &Solver, u: &Unrolling) -> ObsModel {
+        ObsModel {
+            done: s.lit_true(u.done),
+            ret: u.ret.as_ref().map(|v| Word::read(s, v)),
+            mems: u
+                .out_mems
+                .iter()
+                .map(|(_, elems)| elems.iter().map(|e| Word::read(s, e)).collect())
+                .collect(),
+        }
+    }
+
+    /// Whether [`constrain_lazy`]`(u, resp, exact)` holds for the
+    /// unrolling `u` this observable was read from.
+    fn meets(&self, resp: &OracleResponse, exact: bool) -> bool {
+        if !resp.done {
+            return !self.done;
+        }
+        if !self.done {
+            return !exact;
+        }
+        let ret_ok = match (self.ret, resp.ret) {
+            (Some(v), Some(want)) => v.is(want),
+            _ => true,
+        };
+        ret_ok
+            && self.mems.iter().zip(&resp.mems).all(|(elems, want)| {
+                elems.iter().enumerate().all(|(j, e)| e.is(want.get(j).copied().unwrap_or(0)))
+            })
+    }
+}
+
+/// The low `width` bits set.
+fn width_mask(width: usize) -> u64 {
+    if width >= 64 {
+        u64::MAX
+    } else {
+        (1 << width) - 1
+    }
+}
+
+/// The miter at the current depth: both copies' observables and the
+/// activation literal of their difference clause.
+struct Miter {
+    /// Permanently released (unit `!act`) when the depth grows.
+    act: Lit,
+    oa: Unrolling,
+    ob: Unrolling,
 }
 
 /// One clause stream, many solvers: the gate builder the encoder writes
@@ -362,11 +459,12 @@ pub(crate) struct AttackEngine<'a> {
     key_b: KeyLits,
     ua: UnrollState,
     ub: UnrollState,
-    /// Activation literal of the current depth's miter difference
-    /// clause; permanently released (unit `!act`) when the depth grows.
-    act: Lit,
+    miter: Miter,
     k_max: u32,
     cons: Vec<ConsEntry>,
+    /// A key satisfying every constraint collected so far, taken from
+    /// the last DIP's model; cleared when the depth grows.
+    candidate: Option<KeyBits>,
     dips: u64,
     growths: u64,
 }
@@ -410,7 +508,7 @@ impl<'a> AttackEngine<'a> {
         cnf.flush();
         cnf.grow(&enc, &mut ua, k0);
         cnf.grow(&enc, &mut ub, k0);
-        let tru = cnf.g.tru();
+        let miter = build_miter(&enc, &mut cnf, &ua, &ub);
         let mut eng = AttackEngine {
             enc,
             cnf,
@@ -420,13 +518,13 @@ impl<'a> AttackEngine<'a> {
             key_b,
             ua,
             ub,
-            act: tru,
+            miter,
             k_max,
             cons: Vec::new(),
+            candidate: None,
             dips: 0,
             growths: 0,
         };
-        eng.refresh_miter();
         if encode_span.recording() {
             encode_span.arg("unroll", u64::from(k0));
             eng.size_args(&mut encode_span);
@@ -460,19 +558,6 @@ impl<'a> AttackEngine<'a> {
         for s in &mut self.cnf.solvers {
             unpoison(s.get_mut()).set_ctrl(b.clone());
         }
-    }
-
-    /// Builds (or rebuilds, after growth) the miter difference clause at
-    /// the current depth under a fresh activation literal.
-    fn refresh_miter(&mut self) {
-        let g = &mut self.cnf.g;
-        let oa = self.enc.observables(g, &self.ua);
-        let ob = self.enc.observables(g, &self.ub);
-        let diff = observable_diff(g, &oa, &ob);
-        let act = g.fresh();
-        g.assert_clause(&[!act, diff]);
-        self.act = act;
-        self.cnf.flush();
     }
 
     /// Sets `s`'s per-solve budgets to what is left of the attack's.
@@ -509,7 +594,7 @@ impl<'a> AttackEngine<'a> {
         self.set_budget(&mut s);
         let mut dip_span = self.opts.obs.span("attack.dip");
         let conflicts_before = s.stats().conflicts;
-        let outcome = s.solve_assuming(&[self.act]);
+        let outcome = s.solve_assuming(&[self.miter.act]);
         if dip_span.recording() {
             dip_span.arg("dip", self.dips);
             dip_span.arg("depth", u64::from(self.depth()));
@@ -525,7 +610,7 @@ impl<'a> AttackEngine<'a> {
                     // Both copies terminated within k ≤ k_max, so their
                     // frozen outputs equal the k_max observable — a
                     // genuine DIP. (At the full bound every model is.)
-                    Step::Dip(AttackQuery {
+                    let query = AttackQuery {
                         args: self.inputs.args.iter().map(|a| a.model_value(&s)).collect(),
                         mems: self
                             .inputs
@@ -533,7 +618,13 @@ impl<'a> AttackEngine<'a> {
                             .iter()
                             .map(|(_, elems)| elems.iter().map(|e| e.model_value(&s)).collect())
                             .collect(),
-                    })
+                    };
+                    let copies = [(&self.key_a, &self.miter.oa), (&self.key_b, &self.miter.ob)]
+                        .map(|(key, u)| CopyModel {
+                            key: key.model_key(&s),
+                            obs: ObsModel::read(&s, u),
+                        });
+                    Step::Dip(query, Box::new(copies))
                 } else {
                     // The disagreement is about *termination within k*,
                     // which the full-bound observable may not share — a
@@ -600,13 +691,17 @@ impl<'a> AttackEngine<'a> {
             match decide(self) {
                 Step::Collapsed => break SatAttackStatus::Recovered,
                 Step::NeedGrow => self.grow_step(),
-                Step::Dip(query) => {
+                Step::Dip(query, copies) => {
                     self.opts.budget.fault_hit(faultpoint::sites::ATTACK_ORACLE, self.dips);
                     let resp = {
                         let _oracle_span = obs.span("attack.oracle");
                         oracle(&query)
                     };
                     self.apply_dip(&query, &resp);
+                    // Judged at the depth the label was just encoded at.
+                    let exact = self.depth() == self.k_max;
+                    self.candidate =
+                        (*copies).into_iter().find(|c| c.obs.meets(&resp, exact)).map(|c| c.key);
                     dip_counter.inc();
                     progress.tick();
                     constraints.push(IoConstraint { query, response: resp });
@@ -631,10 +726,13 @@ impl<'a> AttackEngine<'a> {
         let new_k = k.saturating_mul(2).min(self.k_max);
         let delta = new_k - k;
         let mut grow_span = self.opts.obs.span("attack.grow");
-        self.cnf.g.assert_true(!self.act);
+        // The candidate was checked against the labels at the old depth;
+        // the constraints are about to be re-asserted at the new one.
+        self.candidate = None;
+        self.cnf.g.assert_true(!self.miter.act);
         self.cnf.grow(&self.enc, &mut self.ua, delta);
         self.cnf.grow(&self.enc, &mut self.ub, delta);
-        self.refresh_miter();
+        self.miter = build_miter(&self.enc, &mut self.cnf, &self.ua, &self.ub);
         let exact = new_k == self.k_max;
         for c in &mut self.cons {
             for u in [&mut c.ua, &mut c.ub] {
@@ -685,15 +783,22 @@ impl<'a> AttackEngine<'a> {
     /// (`t0`: when the attack started).
     ///
     /// The recovered key is any key consistent with every collected I/O
-    /// pair (the miter's difference clause is released by leaving `act`
-    /// free). This model search runs unbudgeted and un-cancelled: the
-    /// budgets govern the collapse proof, and an exhausted or cancelled
-    /// attack must still hand back a key consistent with its partial
-    /// constraints (the true key always satisfies them, so this is
-    /// cheap). What it does not need — the gate builder, the constraint
-    /// encodings and the other racers' solvers — is released first,
-    /// under an `attack.release` span, so it runs with one solver
-    /// resident.
+    /// pair. Usually that is the candidate the last DIP's model left
+    /// behind, and no solve runs. Without one (no DIP yet, neither copy
+    /// met the last label, or the unrolling grew since) racer `i` searches
+    /// the constraints for a key, the miter's difference clause released
+    /// by leaving `act` free. That search runs unbudgeted and
+    /// un-cancelled: the budgets govern the collapse proof, and an
+    /// exhausted or cancelled attack must still hand back a key
+    /// consistent with its partial constraints (the true key always
+    /// satisfies them, so this is cheap).
+    ///
+    /// On both paths the engine's CNF is torn down inside the
+    /// `attack.model` span: the gate builder, the constraint encodings
+    /// and the other racers' solvers first, under an `attack.release`
+    /// span (so a search runs with one solver resident), then racer
+    /// `i`'s. The span's `reused` arg is 1 when the candidate was
+    /// returned, 0 when the search ran.
     pub(crate) fn finish(
         mut self,
         i: usize,
@@ -701,25 +806,33 @@ impl<'a> AttackEngine<'a> {
         t0: Instant,
         constraints: Vec<IoConstraint>,
     ) -> SatAttackOutcome {
-        let model_span = self.opts.obs.span("attack.model");
-        {
+        let mut model_span = self.opts.obs.span("attack.model");
+        let mut s = {
             let _release_span = self.opts.obs.span("attack.release");
             self.cnf.g = Gates::new();
             self.cons = Vec::new();
-            for (j, s) in self.cnf.solvers.iter_mut().enumerate() {
-                if j != i {
-                    *unpoison(s.get_mut()) = Solver::new();
+            let mut solvers = std::mem::take(&mut self.cnf.solvers);
+            unpoison(solvers.swap_remove(i).into_inner())
+        };
+        let reused = self.candidate.is_some();
+        let key = match self.candidate.take() {
+            Some(key) => Some(key),
+            None => {
+                s.set_conflict_budget(None);
+                s.set_step_budget(None);
+                s.set_ctrl(Budget::unlimited());
+                match s.solve() {
+                    SolveOutcome::Sat => Some(self.key_a.model_key(&s)),
+                    _ => None,
                 }
             }
-        }
-        let s = self.cnf.solver_mut(i);
-        s.set_conflict_budget(None);
-        s.set_step_budget(None);
-        s.set_ctrl(Budget::unlimited());
-        let key = match s.solve() {
-            SolveOutcome::Sat => Some(self.key_a.model_key(s)),
-            _ => None,
         };
+        let stats = s.stats();
+        let (vars, clauses) = (s.num_vars(), s.num_clauses());
+        drop(s);
+        if model_span.recording() {
+            model_span.arg("reused", u64::from(reused));
+        }
         drop(model_span);
         let wall = t0.elapsed();
         let miter_cnf = if self.opts.measure_full_cnf {
@@ -727,8 +840,6 @@ impl<'a> AttackEngine<'a> {
         } else {
             None
         };
-        let s = self.cnf.solver_mut(i);
-        let stats = s.stats();
         SatAttackOutcome {
             status,
             key,
@@ -736,8 +847,8 @@ impl<'a> AttackEngine<'a> {
             queries: self.dips,
             conflicts: stats.conflicts,
             propagations: stats.propagations,
-            vars: s.num_vars(),
-            clauses: s.num_clauses(),
+            vars,
+            clauses,
             unroll_final: self.depth(),
             growths: self.growths,
             coi: self.enc.coi(),
@@ -746,6 +857,19 @@ impl<'a> AttackEngine<'a> {
             constraints,
         }
     }
+}
+
+/// Builds the miter difference clause between the two copies at their
+/// current depth under a fresh activation literal, and streams it into
+/// every solver.
+fn build_miter(enc: &Encoder, cnf: &mut Cnf, ua: &UnrollState, ub: &UnrollState) -> Miter {
+    let oa = enc.observables(&mut cnf.g, ua);
+    let ob = enc.observables(&mut cnf.g, ub);
+    let diff = observable_diff(&mut cnf.g, &oa, &ob);
+    let act = cnf.g.fresh();
+    cnf.g.assert_clause(&[!act, diff]);
+    cnf.flush();
+    Miter { act, oa, ob }
 }
 
 /// Scratch two-copy miters at depth `k`, COI-pruned and full, for the
@@ -842,5 +966,138 @@ fn constrain_to_response(g: &mut Gates, u: &Unrolling, resp: &OracleResponse) {
         for (j, e) in elems.iter().enumerate() {
             e.pin(g, want.get(j).copied().unwrap_or(0));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A deterministic xorshift stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn one_in(&mut self, n: u64) -> bool {
+            self.below(n) == 0
+        }
+    }
+
+    /// A random word of `width` bits, zero one time in three (so short
+    /// labels, which read missing elements as 0, sometimes match).
+    fn word(rng: &mut Rng, width: u32) -> Word {
+        let mask = width_mask(width as usize);
+        let value = if rng.one_in(3) { 0 } else { rng.next() & mask };
+        Word { value, mask }
+    }
+
+    /// The label's version of a word: equal, wider than the word (extra
+    /// high bits, still equal), or one bit off.
+    fn label_of(rng: &mut Rng, w: Word) -> u64 {
+        match rng.below(4) {
+            0 if w.mask != u64::MAX => w.value | (rng.next() & !w.mask),
+            1 => w.value ^ (1 << rng.below(u64::from(w.mask.count_ones()))),
+            _ => w.value,
+        }
+    }
+
+    /// Assumptions fixing `u`'s literals to the observable `o`.
+    fn pins(u: &Unrolling, o: &ObsModel) -> Vec<Lit> {
+        let mut out = vec![if o.done { u.done } else { !u.done }];
+        let mut pin = |v: &Bv, w: Word| {
+            for (i, &l) in v.0.iter().enumerate() {
+                out.push(if (w.value >> i) & 1 == 1 { l } else { !l });
+            }
+        };
+        if let (Some(v), Some(w)) = (&u.ret, o.ret) {
+            pin(v, w);
+        }
+        for ((_, elems), words) in u.out_mems.iter().zip(&o.mems) {
+            for (e, &w) in elems.iter().zip(words) {
+                pin(e, w);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn label_check_agrees_with_the_constraint_encoding() {
+        // Random observables against labels derived from them: exact and
+        // lazy, done or not on either side, `ret` present or absent,
+        // missing memory slots, short label vectors and labels wider
+        // than the word. The check must say "meets" exactly when the
+        // solver finds `constrain_lazy` satisfiable with the unrolling
+        // fixed to the observable.
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let widths = [1u32, 3, 8, 64];
+        let (mut met, mut missed) = (0, 0);
+        for case in 0..3000 {
+            let mut g = Gates::new();
+            let ret_w = (!rng.one_in(4)).then(|| widths[rng.below(4) as usize]);
+            let mem_shapes: Vec<(usize, u32)> = (0..rng.below(3))
+                .map(|_| (1 + rng.below(3) as usize, widths[rng.below(3) as usize]))
+                .collect();
+            let u = Unrolling {
+                done: g.fresh(),
+                ret: ret_w.map(|w| Bv::fresh(&mut g, w)),
+                out_mems: mem_shapes
+                    .iter()
+                    .enumerate()
+                    .map(|(slot, &(len, w))| {
+                        (slot, (0..len).map(|_| Bv::fresh(&mut g, w)).collect())
+                    })
+                    .collect(),
+                cycles: 4,
+            };
+            let o = ObsModel {
+                done: !rng.one_in(3),
+                ret: ret_w.map(|w| word(&mut rng, w)),
+                mems: mem_shapes
+                    .iter()
+                    .map(|&(len, w)| (0..len).map(|_| word(&mut rng, w)).collect())
+                    .collect(),
+            };
+            let ret = match o.ret {
+                _ if rng.one_in(5) => None,
+                Some(w) => Some(label_of(&mut rng, w)),
+                None => Some(rng.next()),
+            };
+            let mut mems: Vec<Vec<u64>> = o
+                .mems
+                .iter()
+                .map(|words| {
+                    let mut want: Vec<u64> = words.iter().map(|&w| label_of(&mut rng, w)).collect();
+                    want.truncate(rng.below(want.len() as u64 + 1) as usize);
+                    want
+                })
+                .collect();
+            mems.truncate(rng.below(mems.len() as u64 + 2) as usize);
+            let done = if rng.one_in(4) { !o.done } else { o.done };
+            let resp = OracleResponse { done, ret, mems };
+            let exact = rng.one_in(2);
+
+            constrain_lazy(&mut g, &u, &resp, exact);
+            let mut s = Solver::new();
+            g.flush_into([&mut s]);
+            let sat = s.solve_assuming(&pins(&u, &o)) == SolveOutcome::Sat;
+            assert_eq!(o.meets(&resp, exact), sat, "case {case}: {o:?} vs {resp:?}, exact {exact}");
+            if sat {
+                assert_eq!(ObsModel::read(&s, &u), o, "case {case}: model read-back");
+                met += 1;
+            } else {
+                missed += 1;
+            }
+        }
+        assert!(met > 500 && missed > 500, "lopsided cases: {met} met, {missed} missed");
     }
 }

@@ -518,3 +518,135 @@ fn portfolio_encodes_the_miter_once() {
     let constrains = spans_named(&sink, "attack.constrain");
     assert_eq!(constrains.len() as u64, out.outcome.dips, "one constraint encoding per DIP");
 }
+
+/// How many spans named `name` the trace holds, and how many of them run
+/// inside a span named `outer`.
+fn count_inside(sink: &obs::ChromeTraceSink, name: &str, outer: &str) -> (usize, usize) {
+    fn walk(n: &obs::analyze::SpanNode, name: &str, outer: &str, inside: bool) -> (usize, usize) {
+        let here = usize::from(n.name == name);
+        let inside_child = inside || n.name == outer;
+        n.children.iter().fold((here, here * usize::from(inside)), |(all, within), c| {
+            let (a, w) = walk(c, name, outer, inside_child);
+            (all + a, within + w)
+        })
+    }
+    let trace = obs::analyze::parse_trace(&sink.to_json()).expect("trace parses");
+    trace.roots.iter().fold((0, 0), |(all, within), r| {
+        let (a, w) = walk(r, name, outer, false);
+        (all + a, within + w)
+    })
+}
+
+/// The `reused` arg of the attack's one `attack.model` span.
+fn model_reused(sink: &obs::ChromeTraceSink) -> u64 {
+    let models = spans_named(sink, "attack.model");
+    assert_eq!(models.len(), 1, "one attack.model span per attack");
+    *models[0].0.args.get("reused").expect("attack.model records `reused`")
+}
+
+/// The attack's encode steps in time order: `D` per DIP constraint, `G`
+/// per growth.
+fn encode_steps(sink: &obs::ChromeTraceSink) -> String {
+    let mut steps: Vec<(u64, char)> = [("attack.constrain", 'D'), ("attack.grow", 'G')]
+        .iter()
+        .flat_map(|&(name, c)| {
+            spans_named(sink, name).into_iter().map(move |(s, _)| (s.start_ns, c))
+        })
+        .collect();
+    steps.sort_unstable();
+    steps.into_iter().map(|(_, c)| c).collect()
+}
+
+/// Asserts `key` reproduces every returned I/O constraint on the tape.
+fn assert_key_meets_constraints(
+    compiled: &CompiledFsmd,
+    key: &KeyBits,
+    k: u32,
+    out: &attack_sat::SatAttackOutcome,
+) {
+    let mut replay = tape_oracle(compiled, key, k);
+    for c in &out.constraints {
+        assert_eq!(replay(&c.query), c.response, "returned key violates {:?}", c.query);
+    }
+}
+
+#[test]
+fn collapse_after_a_dip_takes_the_key_from_the_last_model() {
+    // At the full bound from the start there is no growth, so the
+    // collapse follows a DIP: the key comes from that DIP's model, and no
+    // solve runs after the last round (every `sat.solve` sits inside an
+    // `attack.dip`).
+    let (fsmd, key) = locked_adder(0xA11CE);
+    let sim = VlogSim::new(&verilog::emit(&fsmd)).expect("parses");
+    let compiled = CompiledFsmd::compile(&fsmd);
+    let (o, sink) = traced();
+    let opts =
+        SatAttackOptions { unroll_cycles: 16, initial_unroll: 16, obs: o, ..Default::default() };
+    let out = sat_attack(&sim, &opts, &mut tape_oracle(&compiled, &key, 16));
+    assert_eq!(out.status, SatAttackStatus::Recovered);
+    assert!(out.dips >= 1 && out.growths == 0, "dips {} growths {}", out.dips, out.growths);
+    assert_eq!(model_reused(&sink), 1, "the last DIP's model holds the key");
+    let (solves, in_rounds) = count_inside(&sink, "sat.solve", "attack.dip");
+    assert!(solves > 0);
+    assert_eq!(in_rounds, solves, "a solve ran after the last round");
+    let got = out.key.as_ref().expect("key recovered");
+    assert_eq!(got, &key, "exact working key");
+    assert_key_meets_constraints(&compiled, got, 16, &out);
+}
+
+#[test]
+fn a_label_neither_copy_produces_falls_back_to_a_search() {
+    // A chip that never finishes: the adder always does, so neither miter
+    // copy meets the label and no candidate exists. The fallback search
+    // finds the constraints unsatisfiable and returns no key — never an
+    // unchecked model key.
+    let (fsmd, _) = locked_adder(0xA11CE);
+    let sim = VlogSim::new(&verilog::emit(&fsmd)).expect("parses");
+    let (o, sink) = traced();
+    let opts =
+        SatAttackOptions { unroll_cycles: 16, initial_unroll: 16, obs: o, ..Default::default() };
+    let mut hung = |_: &AttackQuery| OracleResponse { done: false, ret: None, mems: Vec::new() };
+    let out = sat_attack(&sim, &opts, &mut hung);
+    assert_eq!(out.dips, 1);
+    assert_eq!(model_reused(&sink), 0, "no copy met the label");
+    assert_eq!(out.key, None, "no key produces the label");
+}
+
+#[test]
+fn growth_after_the_last_dip_clears_the_candidate() {
+    // Loop kernels under a shallow start grow and find DIPs in a
+    // solver-chosen order. Whenever the last encode step is a growth that
+    // followed a DIP, the DIP's candidate was checked at the old depth
+    // and must not be returned: the search runs (`reused` = 0), and its
+    // key still meets every returned constraint.
+    let src = "int f(int a) { int s = 0; for (int i = 0; i < 3; i++) s += a + i; return s; }";
+    let mut grew_last = 0;
+    for seed in [2u64, 0x5EED] {
+        let mut fsmd = synth(src, "f");
+        let key_bits: u32 = fsmd.consts.iter().map(|c| c.storage_width as u32).sum::<u32>()
+            + fsmd.states.iter().filter(|s| matches!(s.next, NextState::Branch { .. })).count()
+                as u32;
+        let key = xorshift_key(key_bits, seed);
+        lock_by_hand(&mut fsmd, &key);
+        let sim = VlogSim::new(&verilog::emit(&fsmd)).expect("parses");
+        let compiled = CompiledFsmd::compile(&fsmd);
+        for (k, k0) in [(24u32, 2u32), (24, 4)] {
+            let (o, sink) = traced();
+            let opts = SatAttackOptions {
+                unroll_cycles: k,
+                initial_unroll: k0,
+                obs: o,
+                ..Default::default()
+            };
+            let out = sat_attack(&sim, &opts, &mut tape_oracle(&compiled, &key, k));
+            assert_eq!(out.status, SatAttackStatus::Recovered, "seed {seed:#x} k0 {k0}");
+            let steps = encode_steps(&sink);
+            if steps.ends_with('G') && steps.contains('D') {
+                grew_last += 1;
+                assert_eq!(model_reused(&sink), 0, "seed {seed:#x} k0 {k0}: {steps}");
+            }
+            assert_key_meets_constraints(&compiled, out.key.as_ref().expect("key"), k, &out);
+        }
+    }
+    assert!(grew_last > 0, "no run grew after its last DIP");
+}

@@ -15,6 +15,45 @@
 
 use crate::solver::{Lit, Solver, Var};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The Fx multiply-rotate hash (as in `rustc`'s `FxHasher`): a few
+/// cycles per word, plenty for the gate cache's small-integer keys
+/// (`Lit`s hash as `u32`, the `GateOp` discriminant as `usize`). The
+/// cache is only ever probed through `get`/`insert`, never iterated, so
+/// the hash cannot reorder the clause stream.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Gate kinds used as structural-hash keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,7 +72,7 @@ pub struct Gates {
     num_clauses: usize,
     truth: Option<Lit>,
     /// Structural hash: `(op, a, b, c)` → output literal.
-    cache: HashMap<(GateOp, Lit, Lit, Lit), Lit>,
+    cache: HashMap<(GateOp, Lit, Lit, Lit), Lit, BuildHasherDefault<FxHasher>>,
     /// Literals of the clauses emitted since the last
     /// [`Gates::flush_into`], back to back.
     lits: Vec<Lit>,

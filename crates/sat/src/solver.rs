@@ -891,7 +891,6 @@ impl Solver {
     }
 
     /// `lit_value` without borrowing conflicts inside `propagate`.
-    #[allow(dead_code)]
     fn lit_value_raw(&self, l: Lit) -> u8 {
         match self.assign[l.var().index()] {
             UNDEF => UNDEF,
