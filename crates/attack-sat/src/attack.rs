@@ -532,14 +532,16 @@ impl<'a> AttackEngine<'a> {
         eng
     }
 
-    /// The shared span args of every encode step: CNF size, racer count
-    /// and the solver-ingest share of the step.
+    /// The shared span args of every encode step: CNF size, racer count,
+    /// the solver-ingest share of the step and racer 0's solver heap
+    /// bytes.
     fn size_args(&mut self, span: &mut obs::SpanGuard) {
         let (vars, clauses) = self.cnf.size();
         span.arg("vars", vars);
         span.arg("clauses", clauses);
         span.arg("racers", self.cnf.solvers.len() as u64);
         span.arg("ingest_ns", self.cnf.take_ingest());
+        span.arg("solver_bytes", self.cnf.solver_mut(0).heap_bytes() as u64);
     }
 
     /// Current unroll depth.
@@ -784,10 +786,12 @@ impl<'a> AttackEngine<'a> {
     ///
     /// The recovered key is any key consistent with every collected I/O
     /// pair. Usually that is the candidate the last DIP's model left
-    /// behind, and no solve runs. Without one (no DIP yet, neither copy
-    /// met the last label, or the unrolling grew since) racer `i` searches
-    /// the constraints for a key, the miter's difference clause released
-    /// by leaving `act` free. That search runs unbudgeted and
+    /// behind, and no solve runs. With no DIP at all there is no
+    /// constraint, every key is consistent, and the all-zero key is
+    /// returned without a solve. Otherwise, without a candidate (neither
+    /// copy met the last label, or the unrolling grew since) racer `i`
+    /// searches the constraints for a key, the miter's difference clause
+    /// released by leaving `act` free. That search runs unbudgeted and
     /// un-cancelled: the budgets govern the collapse proof, and an
     /// exhausted or cancelled attack must still hand back a key
     /// consistent with its partial constraints (the true key always
@@ -798,7 +802,7 @@ impl<'a> AttackEngine<'a> {
     /// and the other racers' solvers first, under an `attack.release`
     /// span (so a search runs with one solver resident), then racer
     /// `i`'s. The span's `reused` arg is 1 when the candidate was
-    /// returned, 0 when the search ran.
+    /// returned, 0 otherwise.
     pub(crate) fn finish(
         mut self,
         i: usize,
@@ -817,6 +821,7 @@ impl<'a> AttackEngine<'a> {
         let reused = self.candidate.is_some();
         let key = match self.candidate.take() {
             Some(key) => Some(key),
+            None if self.dips == 0 => Some(KeyBits::zero(self.key_a.0.len() as u32)),
             None => {
                 s.set_conflict_budget(None);
                 s.set_step_budget(None);

@@ -1,9 +1,11 @@
 //! The SAT attack against *emitted* Verilog of synthesized designs,
 //! locked by hand exactly the way `tao`'s obfuscations lock them
 //! (constant key-XOR storage, branch-polarity masks), with the FSMD tape
-//! simulator as the golden oracle. Locking is applied manually here so
-//! this crate's tests stay below `tao` in the dependency order; the
-//! full-flow attacks live in `tao`'s own tests and `tests/prop_cnf.rs`.
+//! simulator as the golden oracle. Locking is mostly applied manually
+//! here; the full-flow attacks live in `tao`'s own tests and
+//! `tests/prop_cnf.rs`. One test runs through `tao`'s design-level attack
+//! so that `tao`'s key verification judges the key the engine returns
+//! without a search.
 
 use attack_sat::{
     sat_attack, AttackQuery, ExhaustCause, OracleResponse, SatAttackOptions, SatAttackStatus,
@@ -649,4 +651,32 @@ fn growth_after_the_last_dip_clears_the_candidate() {
         }
     }
     assert!(grew_last > 0, "no run grew after its last DIP");
+}
+
+#[test]
+fn zero_dip_collapse_returns_a_key_without_a_search() {
+    // A window shorter than any run: no key finishes inside it, so the
+    // miter has no model and the attack collapses with zero DIPs (as gsm
+    // does under the profile's 8-cycle probe). With no constraint every
+    // key is consistent, so the engine returns one without searching,
+    // and `tao`'s verification, which compares outputs inside the same
+    // window, marks it functional.
+    let src = "int f(int a) { int s = 0; for (int i = 0; i < 4; i++) s += a ^ (i + 7); return s; }";
+    let m = hls_frontend::compile(src, "t").expect("kernel compiles");
+    let lk = xorshift_key(256, 0x2E40);
+    let d = tao::lock(&m, "f", &lk, &tao::TaoOptions::default()).expect("locks");
+    let wk = d.working_key(&lk);
+    let cases = [TestCase::args(&[5]), TestCase::args(&[1000])];
+    let (o, sink) = traced();
+    let cfg = tao::SatAttackConfig { unroll: Some(2), obs: o, ..Default::default() };
+    let att = tao::sat_attack_design(&d, &wk, &cases, &cfg).expect("emitted text parses");
+    assert_eq!(att.outcome.status, SatAttackStatus::Recovered);
+    assert_eq!(att.outcome.dips, 0);
+    assert_eq!(model_reused(&sink), 0, "no DIP model to take the key from");
+    let (solves, in_model) = count_inside(&sink, "sat.solve", "attack.model");
+    assert!(solves > 0, "the collapse proof ran");
+    assert_eq!(in_model, 0, "a search ran after the collapse");
+    let got = att.outcome.key.as_ref().expect("a key is returned");
+    assert_eq!(got.width(), wk.width());
+    assert!(att.key_functional, "the returned key is not functional in the window");
 }

@@ -92,7 +92,8 @@ pub struct SimBenchRow {
     pub name: String,
     /// Correct-key latency in cycles (the per-run work unit).
     pub cycles: u64,
-    /// FSMD tree-walking backend.
+    /// FSMD tree-walking backend, at its paired-round ratio to
+    /// `fsmd_tape_cps` (see `bench_kernel`).
     pub fsmd_tree_cps: f64,
     /// FSMD compiled-tape backend.
     pub fsmd_tape_cps: f64,
@@ -163,6 +164,20 @@ fn throughput(cycles_per_run: u64, min_ms: u64, mut run: impl FnMut()) -> f64 {
     }
 }
 
+/// Rounds per paired-window measurement.
+const PAIRED_ROUNDS: usize = 6;
+
+/// Measures two backends' throughput in [`PAIRED_ROUNDS`] rounds of
+/// adjacent `win`-ms windows (`a` then `b`) and returns the rates
+/// `(a, b)` of the round with the median `b / a` ratio.
+fn paired_rounds(cycles: u64, win: u64, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let mut pairs: Vec<(f64, f64)> = (0..PAIRED_ROUNDS)
+        .map(|_| (throughput(cycles, win, &mut a), throughput(cycles, win, &mut b)))
+        .collect();
+    pairs.sort_by(|x, y| (x.1 / x.0).total_cmp(&(y.1 / y.0)));
+    pairs[pairs.len() / 2]
+}
+
 /// Measures all four backends plus the parallel grid on one locked
 /// kernel, then runs the bounded SAT-attack effort probe.
 fn bench_kernel(name: &str, min_ms: u64, sat_budget: u64) -> SimBenchRow {
@@ -181,44 +196,55 @@ fn bench_kernel(name: &str, min_ms: u64, sat_budget: u64) -> SimBenchRow {
 
     let cycles = rtl_outputs(&d.fsmd, &case, &wk, &opts).expect("correct key runs").1.cycles;
 
-    let fsmd_tree_cps = throughput(cycles, min_ms, || {
-        rtl_outputs(&d.fsmd, &case, &wk, &opts).expect("fsmd tree");
-    });
-    // Specialized threaded code (schema v5): bind once per key, then
-    // dispatch through pre-resolved fn-pointer handlers. The reused
-    // runner matches the batch pattern every sweep consumer uses.
-    //
-    // The spec floor gates on the in-process spec/tape *ratio*, so the
-    // two backends are measured as six *paired* rounds of adjacent short
-    // windows and the pair with the median ratio is kept: both numbers
-    // of the reported pair come from the same machine state (frequency,
-    // co-tenant load), so a scheduler stall or boost window hitting only
-    // one backend's sample can no longer move the gated ratio, and the
-    // median rejects the outlier rounds entirely.
+    // Every gated ratio (tape/tree for both simulators, spec/tape) is
+    // measured as paired rounds of adjacent short windows, keeping the
+    // round with the median ratio: both numbers of a kept pair come from
+    // the same machine state (frequency, co-tenant load), so a scheduler
+    // stall or boost window hitting only one backend's sample can no
+    // longer move the gated ratio, and the median rejects the outlier
+    // rounds entirely. Specialized threaded code (schema v5) binds once
+    // per key, then dispatches through pre-resolved fn-pointer handlers;
+    // the reused runners match the batch pattern every sweep consumer
+    // uses.
     let spec = SpecFsmd::compile(&d.fsmd);
     let mut frun = ctape.runner();
     let mut srun = spec.runner();
     let win = (min_ms / 2).max(50);
-    let mut pairs: Vec<(f64, f64)> = (0..6)
-        .map(|_| {
-            let t = throughput(cycles, win, || {
-                frun.run_case(&case, &wk, &opts).expect("fsmd tape");
-            });
-            let s = throughput(cycles, win, || {
-                srun.run_case(&case, &wk, &opts).expect("spec");
-            });
-            (t, s)
-        })
-        .collect();
-    pairs.sort_by(|x, y| (x.1 / x.0).total_cmp(&(y.1 / y.0)));
-    let (fsmd_tape_cps, spec_cps) = pairs[pairs.len() / 2];
-    let vlog_tree_cps = throughput(cycles, min_ms, || {
-        vlog_outputs(&vtree, &case, &wk, &opts, &d.fsmd.mem_of_array).expect("vlog tree");
-    });
+    let (tree, tape) = paired_rounds(
+        cycles,
+        win,
+        || {
+            rtl_outputs(&d.fsmd, &case, &wk, &opts).expect("fsmd tree");
+        },
+        || {
+            frun.run_case(&case, &wk, &opts).expect("fsmd tape");
+        },
+    );
+    let (fsmd_tape_cps, spec_cps) = paired_rounds(
+        cycles,
+        win,
+        || {
+            frun.run_case(&case, &wk, &opts).expect("fsmd tape");
+        },
+        || {
+            srun.run_case(&case, &wk, &opts).expect("spec");
+        },
+    );
+    // The row holds one tape rate (the spec pair's), so the tree rate is
+    // carried over at the tree pair's median ratio: `fsmd_speedup` and
+    // `spec_speedup` are then each exactly their own median paired ratio.
+    let fsmd_tree_cps = fsmd_tape_cps * tree / tape;
     let mut vrun = vtape.runner();
-    let vlog_tape_cps = throughput(cycles, min_ms, || {
-        vrun.run_case(&case, &wk, &opts, &d.fsmd.mem_of_array).expect("vlog tape");
-    });
+    let (vlog_tree_cps, vlog_tape_cps) = paired_rounds(
+        cycles,
+        win,
+        || {
+            vlog_outputs(&vtree, &case, &wk, &opts, &d.fsmd.mem_of_array).expect("vlog tree");
+        },
+        || {
+            vrun.run_case(&case, &wk, &opts, &d.fsmd.mem_of_array).expect("vlog tape");
+        },
+    );
 
     // Parallel (case × key) grid on the shared executor: the correct key
     // plus 24 deterministic wrong keys over the stimulus, with the
