@@ -77,9 +77,9 @@ pub fn history_line(rows: &[SimBenchRow], mode: &str, fingerprint: &str, ts: u64
              \"spec_cps\": {:.0}, \"vlog_tape\": {:.0}, \"grid_cps\": {:.0}}}",
             r.name,
             r.cycles,
-            r.fsmd_speedup(),
-            r.spec_speedup(),
-            r.vlog_speedup(),
+            r.fsmd_speedup,
+            r.spec_speedup,
+            r.vlog_speedup,
             r.grid_speedup(),
             r.sat_dips,
             r.sat_conflicts,
@@ -344,6 +344,9 @@ pub fn bench_history_smoke() -> String {
         spec_cps: speed * 2.0,
         vlog_tree_cps: 1.0e6,
         vlog_tape_cps: 9.0e6,
+        fsmd_speedup: speed / 1.0e6,
+        spec_speedup: 2.0,
+        vlog_speedup: 9.0,
         grid_cps: speed * 3.0,
         grid_workers: 1,
         sat_dips: 3,
@@ -396,6 +399,9 @@ mod tests {
             spec_cps: 6.0e6,
             vlog_tree_cps: 1.0e6,
             vlog_tape_cps: 8.0e6,
+            fsmd_speedup: 3.0,
+            spec_speedup: 2.0,
+            vlog_speedup: 8.0,
             grid_cps: 9.0e6,
             grid_workers: 4,
             sat_dips: 2,

@@ -92,8 +92,7 @@ pub struct SimBenchRow {
     pub name: String,
     /// Correct-key latency in cycles (the per-run work unit).
     pub cycles: u64,
-    /// FSMD tree-walking backend, at its paired-round ratio to
-    /// `fsmd_tape_cps` (see `bench_kernel`).
+    /// FSMD tree-walking backend.
     pub fsmd_tree_cps: f64,
     /// FSMD compiled-tape backend.
     pub fsmd_tape_cps: f64,
@@ -103,6 +102,17 @@ pub struct SimBenchRow {
     pub vlog_tree_cps: f64,
     /// Verilog-text compiled-tape backend.
     pub vlog_tape_cps: f64,
+    /// Compiled-vs-tree speedup of the FSMD backend: the median of the
+    /// per-round ratios of adjacent windows (see `bench_kernel`), so it
+    /// need not equal `fsmd_tape_cps / fsmd_tree_cps` exactly.
+    pub fsmd_speedup: f64,
+    /// Specialized-vs-tape speedup of the FSMD backend (what bind-time
+    /// lowering buys over the already-compiled interpreter), measured
+    /// like `fsmd_speedup`.
+    pub spec_speedup: f64,
+    /// Compiled-vs-tree speedup of the Verilog backend, measured like
+    /// `fsmd_speedup`.
+    pub vlog_speedup: f64,
     /// Parallel (case × key) grid on the FSMD tape backend, all cores.
     pub grid_cps: f64,
     /// Worker threads the grid measurement ran with.
@@ -126,25 +136,9 @@ pub struct SimBenchRow {
 }
 
 impl SimBenchRow {
-    /// Compiled-vs-tree speedup of the Verilog backend.
-    pub fn vlog_speedup(&self) -> f64 {
-        self.vlog_tape_cps / self.vlog_tree_cps
-    }
-
-    /// Compiled-vs-tree speedup of the FSMD backend.
-    pub fn fsmd_speedup(&self) -> f64 {
-        self.fsmd_tape_cps / self.fsmd_tree_cps
-    }
-
     /// Grid-vs-single-thread-tape speedup (the parallel scaling factor).
     pub fn grid_speedup(&self) -> f64 {
         self.grid_cps / self.fsmd_tape_cps
-    }
-
-    /// Specialized-vs-tape speedup of the FSMD backend (what bind-time
-    /// lowering buys over the already-compiled interpreter).
-    pub fn spec_speedup(&self) -> f64 {
-        self.spec_cps / self.fsmd_tape_cps
     }
 }
 
@@ -167,15 +161,24 @@ fn throughput(cycles_per_run: u64, min_ms: u64, mut run: impl FnMut()) -> f64 {
 /// Rounds per paired-window measurement.
 const PAIRED_ROUNDS: usize = 6;
 
-/// Measures two backends' throughput in [`PAIRED_ROUNDS`] rounds of
-/// adjacent `win`-ms windows (`a` then `b`) and returns the rates
-/// `(a, b)` of the round with the median `b / a` ratio.
-fn paired_rounds(cycles: u64, win: u64, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
-    let mut pairs: Vec<(f64, f64)> = (0..PAIRED_ROUNDS)
-        .map(|_| (throughput(cycles, win, &mut a), throughput(cycles, win, &mut b)))
-        .collect();
-    pairs.sort_by(|x, y| (x.1 / x.0).total_cmp(&(y.1 / y.0)));
-    pairs[pairs.len() / 2]
+/// Measures `N` backends' throughput in [`PAIRED_ROUNDS`] rounds, each
+/// round one adjacent `win`-ms window per backend in order, and returns
+/// every round's rates.
+fn paired_rounds<const N: usize>(
+    cycles: u64,
+    win: u64,
+    runs: &mut [&mut dyn FnMut(); N],
+) -> Vec<[f64; N]> {
+    (0..PAIRED_ROUNDS)
+        .map(|_| std::array::from_fn(|i| throughput(cycles, win, &mut *runs[i])))
+        .collect()
+}
+
+/// The median over `rounds` of `f` (the upper one for an even count).
+fn median_of<const N: usize>(rounds: &[[f64; N]], f: impl Fn(&[f64; N]) -> f64) -> f64 {
+    let mut xs: Vec<f64> = rounds.iter().map(f).collect();
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 /// Measures all four backends plus the parallel grid on one locked
@@ -197,53 +200,48 @@ fn bench_kernel(name: &str, min_ms: u64, sat_budget: u64) -> SimBenchRow {
     let cycles = rtl_outputs(&d.fsmd, &case, &wk, &opts).expect("correct key runs").1.cycles;
 
     // Every gated ratio (tape/tree for both simulators, spec/tape) is
-    // measured as paired rounds of adjacent short windows, keeping the
-    // round with the median ratio: both numbers of a kept pair come from
-    // the same machine state (frequency, co-tenant load), so a scheduler
-    // stall or boost window hitting only one backend's sample can no
-    // longer move the gated ratio, and the median rejects the outlier
-    // rounds entirely. Specialized threaded code (schema v5) binds once
-    // per key, then dispatches through pre-resolved fn-pointer handlers;
-    // the reused runners match the batch pattern every sweep consumer
-    // uses.
+    // measured in paired rounds of adjacent short windows — tree, tape
+    // and spec for the FSMD, tree and tape for the Verilog — and the row
+    // keeps the median of the per-round ratios: both rates of a round's
+    // ratio come from the same machine state (frequency, co-tenant
+    // load), so a scheduler stall or boost window hitting only one
+    // backend's sample can no longer move the gated ratio, and the
+    // median rejects the outlier rounds entirely. Each rate column is
+    // that backend's median window. Specialized threaded code (schema
+    // v5) binds once per key, then dispatches through pre-resolved
+    // fn-pointer handlers; the reused runners match the batch pattern
+    // every sweep consumer uses.
     let spec = SpecFsmd::compile(&d.fsmd);
     let mut frun = ctape.runner();
     let mut srun = spec.runner();
-    let win = (min_ms / 2).max(50);
-    let (tree, tape) = paired_rounds(
-        cycles,
-        win,
-        || {
-            rtl_outputs(&d.fsmd, &case, &wk, &opts).expect("fsmd tree");
-        },
-        || {
-            frun.run_case(&case, &wk, &opts).expect("fsmd tape");
-        },
-    );
-    let (fsmd_tape_cps, spec_cps) = paired_rounds(
-        cycles,
-        win,
-        || {
-            frun.run_case(&case, &wk, &opts).expect("fsmd tape");
-        },
-        || {
-            srun.run_case(&case, &wk, &opts).expect("spec");
-        },
-    );
-    // The row holds one tape rate (the spec pair's), so the tree rate is
-    // carried over at the tree pair's median ratio: `fsmd_speedup` and
-    // `spec_speedup` are then each exactly their own median paired ratio.
-    let fsmd_tree_cps = fsmd_tape_cps * tree / tape;
     let mut vrun = vtape.runner();
-    let (vlog_tree_cps, vlog_tape_cps) = paired_rounds(
+    let win = (min_ms / 3).max(50);
+    let fsmd = paired_rounds(
         cycles,
         win,
-        || {
-            vlog_outputs(&vtree, &case, &wk, &opts, &d.fsmd.mem_of_array).expect("vlog tree");
-        },
-        || {
-            vrun.run_case(&case, &wk, &opts, &d.fsmd.mem_of_array).expect("vlog tape");
-        },
+        &mut [
+            &mut || {
+                rtl_outputs(&d.fsmd, &case, &wk, &opts).expect("fsmd tree");
+            },
+            &mut || {
+                frun.run_case(&case, &wk, &opts).expect("fsmd tape");
+            },
+            &mut || {
+                srun.run_case(&case, &wk, &opts).expect("spec");
+            },
+        ],
+    );
+    let vlog = paired_rounds(
+        cycles,
+        win,
+        &mut [
+            &mut || {
+                vlog_outputs(&vtree, &case, &wk, &opts, &d.fsmd.mem_of_array).expect("vlog tree");
+            },
+            &mut || {
+                vrun.run_case(&case, &wk, &opts, &d.fsmd.mem_of_array).expect("vlog tape");
+            },
+        ],
     );
 
     // Parallel (case × key) grid on the shared executor: the correct key
@@ -296,11 +294,14 @@ fn bench_kernel(name: &str, min_ms: u64, sat_budget: u64) -> SimBenchRow {
     SimBenchRow {
         name: name.to_string(),
         cycles,
-        fsmd_tree_cps,
-        fsmd_tape_cps,
-        spec_cps,
-        vlog_tree_cps,
-        vlog_tape_cps,
+        fsmd_tree_cps: median_of(&fsmd, |r| r[0]),
+        fsmd_tape_cps: median_of(&fsmd, |r| r[1]),
+        spec_cps: median_of(&fsmd, |r| r[2]),
+        vlog_tree_cps: median_of(&vlog, |r| r[0]),
+        vlog_tape_cps: median_of(&vlog, |r| r[1]),
+        fsmd_speedup: median_of(&fsmd, |r| r[1] / r[0]),
+        spec_speedup: median_of(&fsmd, |r| r[2] / r[1]),
+        vlog_speedup: median_of(&vlog, |r| r[1] / r[0]),
         grid_cps,
         grid_workers,
         sat_dips,
@@ -352,9 +353,9 @@ pub fn sim_bench_json(rows: &[SimBenchRow], mode: &str) -> String {
             r.sat_dips,
             r.sat_conflicts,
             r.sat_ms,
-            r.fsmd_speedup(),
-            r.spec_speedup(),
-            r.vlog_speedup(),
+            r.fsmd_speedup,
+            r.spec_speedup,
+            r.vlog_speedup,
             r.grid_speedup(),
             if i + 1 < rows.len() { "," } else { "" },
         ));
@@ -393,12 +394,12 @@ pub fn render_sim_bench(rows: &[SimBenchRow]) -> String {
             r.cycles,
             r.fsmd_tree_cps,
             r.fsmd_tape_cps,
-            r.fsmd_speedup(),
+            r.fsmd_speedup,
             r.spec_cps,
-            r.spec_speedup(),
+            r.spec_speedup,
             r.vlog_tree_cps,
             r.vlog_tape_cps,
-            r.vlog_speedup(),
+            r.vlog_speedup,
             r.grid_cps,
             r.grid_workers,
         ));
@@ -424,13 +425,13 @@ pub fn render_sim_bench(rows: &[SimBenchRow]) -> String {
 pub fn check_floor(rows: &[SimBenchRow], floor: f64) -> Result<(), Vec<String>> {
     let violations: Vec<String> = rows
         .iter()
-        .filter(|r| r.vlog_speedup() < floor)
+        .filter(|r| r.vlog_speedup < floor)
         .map(|r| {
             format!(
                 "{}: vlog tape {:.0} cycles/s is only {:.2}x the tree backend ({:.0}), floor {floor}x",
                 r.name,
                 r.vlog_tape_cps,
-                r.vlog_speedup(),
+                r.vlog_speedup,
                 r.vlog_tree_cps,
             )
         })
@@ -453,15 +454,12 @@ pub fn check_floor(rows: &[SimBenchRow], floor: f64) -> Result<(), Vec<String>> 
 pub fn check_spec_floor(rows: &[SimBenchRow], floor: f64) -> Result<(), Vec<String>> {
     let violations: Vec<String> = rows
         .iter()
-        .filter(|r| r.spec_speedup() < floor)
+        .filter(|r| r.spec_speedup < floor)
         .map(|r| {
             format!(
                 "{}: specialized backend {:.0} cycles/s is only {:.2}x the fsmd tape \
                  ({:.0}), floor {floor}x",
-                r.name,
-                r.spec_cps,
-                r.spec_speedup(),
-                r.fsmd_tape_cps,
+                r.name, r.spec_cps, r.spec_speedup, r.fsmd_tape_cps,
             )
         })
         .collect();
@@ -626,9 +624,9 @@ const DIFF_METRICS: [(&str, MetricGetter, Option<f64>); 12] = [
     ("sat_dips", |r| r.sat_dips as f64, Some(SAT_EFFORT_MAX_DROP)),
     ("sat_ms", |r| r.sat_ms, None),
     ("sat_conflicts", |r| r.sat_conflicts as f64, Some(SAT_EFFORT_MAX_DROP)),
-    ("fsmd_speedup", |r| r.fsmd_speedup(), Some(BENCH_DIFF_MAX_DROP)),
-    ("spec_speedup", |r| r.spec_speedup(), Some(BENCH_DIFF_MAX_DROP)),
-    ("vlog_speedup", |r| r.vlog_speedup(), Some(BENCH_DIFF_MAX_DROP)),
+    ("fsmd_speedup", |r| r.fsmd_speedup, Some(BENCH_DIFF_MAX_DROP)),
+    ("spec_speedup", |r| r.spec_speedup, Some(BENCH_DIFF_MAX_DROP)),
+    ("vlog_speedup", |r| r.vlog_speedup, Some(BENCH_DIFF_MAX_DROP)),
 ];
 
 /// Compares a fresh sweep against a parsed baseline, kernel by kernel
@@ -858,6 +856,9 @@ mod tests {
             spec_cps: 6.0e6,
             vlog_tree_cps: 1.0e6,
             vlog_tape_cps: 10.0e6,
+            fsmd_speedup: 3.0,
+            spec_speedup: 2.0,
+            vlog_speedup: 10.0,
             grid_cps,
             grid_workers,
             sat_dips: 2,
@@ -894,6 +895,7 @@ mod tests {
         // A de-specialized backend (slower than the tape) always fails.
         let mut slow = rows.clone();
         slow[0].spec_cps = 2.0e6;
+        slow[0].spec_speedup = 2.0 / 3.0;
         let err = check_spec_floor(&slow, SPEC_FLOOR).unwrap_err();
         assert!(err[0].contains("only 0.67x"), "{err:?}");
     }
@@ -923,6 +925,7 @@ mod tests {
         // absolute column reports it, the speedup ratio gates it.
         let mut fresh = baseline_rows.clone();
         fresh[1].vlog_tape_cps = 5.5e6;
+        fresh[1].vlog_speedup = 5.5;
         let deltas = diff_sim_bench(&fresh, &parsed);
         assert_eq!(deltas.len(), 24); // 2 kernels x 12 tracked metrics
         let regs = bench_regressions(&deltas);

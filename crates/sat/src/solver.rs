@@ -1298,18 +1298,6 @@ impl Solver {
         (at + extra + 1) as u32
     }
 
-    /// Every clause reference, in arena (creation) order.
-    fn clause_refs(&self) -> Vec<u32> {
-        let mut refs = Vec::with_capacity(self.n_long);
-        let mut at = 0;
-        while at < self.lit_arena.len() {
-            let cref = self.block_cref(at);
-            at = self.clause_range(cref).end;
-            refs.push(cref);
-        }
-        refs
-    }
-
     /// `true` while the clause is the reason of its first literal's
     /// assignment (a reason clause's implied literal sits first).
     fn locked(&self, cref: u32) -> bool {
@@ -1337,7 +1325,10 @@ impl Solver {
         self.stats.reductions += 1;
         let mut cand: Vec<u32> = Vec::new();
         let mut protected = 0u64;
-        for cref in self.clause_refs() {
+        let mut at = 0;
+        while at < self.lit_arena.len() {
+            let cref = self.block_cref(at);
+            at = self.clause_range(cref).end;
             if self.is_learnt(cref) && !self.locked(cref) {
                 if self.glue(cref) <= 2 {
                     protected += 1;
@@ -1386,7 +1377,10 @@ impl Solver {
         }
         self.lit_arena.truncate(to);
         self.watches.clear();
-        for cref in self.clause_refs() {
+        let mut at = 0;
+        while at < self.lit_arena.len() {
+            let cref = self.block_cref(at);
+            at = self.clause_range(cref).end;
             let c = cref as usize;
             let (l0, l1) = (self.lit_arena[c], self.lit_arena[c + 1]);
             self.watches.push(l0.code(), Watch { cref, blocker: l1 });
@@ -1413,7 +1407,10 @@ impl Solver {
             let a = self.clause_activity(cref) + self.cla_inc;
             self.set_clause_activity(cref, a);
             if a > 1e20 {
-                for c in self.clause_refs() {
+                let mut at = 0;
+                while at < self.lit_arena.len() {
+                    let c = self.block_cref(at);
+                    at = self.clause_range(c).end;
                     if self.is_learnt(c) {
                         self.set_clause_activity(c, self.clause_activity(c) * 1e-20);
                     }
